@@ -16,6 +16,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import verifier, wittlab
 from .localmods import LocalCategoryData
-from .modular import ModularData
+from .modular import ModularData, RationalAngle
 from .rootsys import DimensionCapError, build_root_system
 
 EXIT_OK = 0
@@ -65,15 +66,7 @@ def _fmt(x: float) -> str:
 def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dict:
     """Typed in-memory bundle for one C(g,k)."""
     s = md.smatrix
-    if md.rank <= FUSION_RANK_CAP:
-        triples = []
-        for i in range(md.rank):
-            for j in range(i, md.rank):
-                for l, n in sorted(md.fusion.row(i, j).items()):
-                    triples.append((i, j, l, int(n)))
-        fusion = tuple(triples)
-    else:
-        fusion = None
+    fusion = tuple(md.fusion.triples()) if md.rank <= FUSION_RANK_CAP else None
     return {
         "schema_version": SCHEMA_VERSION,
         "g": (md.rs.series, md.rs.rank),
@@ -166,7 +159,10 @@ def load_or_build_bundle(series, rank, k, cache_dir=None):
     if cache_dir is not None:
         path = cache_path(cache_dir, series, rank, k)
         if path.exists():
-            return bundle_from_json(path.read_text()), True
+            try:
+                return bundle_from_json(path.read_text()), True
+            except (ValueError, LookupError, TypeError):
+                pass    # a truncated or corrupt entry is a miss: rebuild it
     bundle = build_bundle(ModularData(series, rank, k))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -227,9 +223,6 @@ def _parse_subgroup(md: ModularData, spec: str):
 
 
 def cmd_data(ns) -> int:
-    bad = _capacity_gate(ns)
-    if bad is not None:
-        return bad
     if ns.format == "json":
         bundle, _ = load_or_build_bundle(ns.series, ns.rank, ns.k,
                                          _cache_dir(ns))
@@ -238,28 +231,19 @@ def cmd_data(ns) -> int:
     md = ModularData(ns.series, ns.rank, ns.k)
     lines = [f"C({md.rs.name},{md.k}): {md.rank} simple objects",
              f"{'i':>4}  {'label':<14}{'dim':<22}twist"]
-    pointed = []
     for i, w in enumerate(md.weights):
-        d = float(md.qdims[i])
-        if abs(d - 1.0) < 1e-6:
-            pointed.append(_label_str(w))
         lines.append(f"{i:>4}  {_label_str(w):<14}"
-                     f"{format(d, '.12g'):<22}{_twist_str(md.twists[i].t)}")
-    lines.append("pointed: " + " ".join(pointed))
+                     f"{format(float(md.qdims[i]), '.12g'):<22}"
+                     f"{_twist_str(md.twists[i].t)}")
+    lines.append("pointed: " + " ".join(_label_str(md.weights[i])
+                                        for i in md.pointed_indices))
     _emit(ns, "\n".join(lines))
     return EXIT_OK
 
 
 def cmd_fusion(ns) -> int:
-    bad = _capacity_gate(ns)
-    if bad is not None:
-        return bad
     md = ModularData(ns.series, ns.rank, ns.k)
-    triples = []
-    for i in range(md.rank):
-        for j in range(i, md.rank):
-            for l, n in sorted(md.fusion.row(i, j).items()):
-                triples.append((i, j, l, int(n)))
+    triples = list(md.fusion.triples())
     if ns.format == "json":
         _emit(ns, json.dumps(
             {"g": [ns.series, ns.rank], "k": ns.k,
@@ -288,9 +272,6 @@ def _structure_str(struct) -> str:
 
 
 def cmd_local(ns) -> int:
-    bad = _capacity_gate(ns)
-    if bad is not None:
-        return bad
     md = ModularData(ns.series, ns.rank, ns.k)
     try:
         subgroup = _parse_subgroup(md, ns.subgroup)
@@ -345,9 +326,6 @@ _VS_RE = re.compile(r"^([A-G]):(\d+):(\d+)(:local)?$")
 
 
 def cmd_fingerprint(ns) -> int:
-    bad = _capacity_gate(ns)
-    if bad is not None:
-        return bad
     fp, err = _fingerprint_of(ns.series, ns.rank, ns.k, ns.local)
     if err is not None:
         print("no nontrivial Tannakian subgroup of simple currents",
@@ -382,24 +360,23 @@ def cmd_fingerprint(ns) -> int:
 # verify: registered checks
 
 
-_ESERIES = {}
+_eseries = functools.cache(verifier.check_E_series_thresholds)
+
+# the categories whose Gauss phases the closed-form exponents predict
+_GAUSS_FAMILIES = {
+    "so5": lambda k: ModularData("B", 2, k),
+    "g2": lambda k: ModularData("G", 2, k),
+    "so5_local_even": lambda m: LocalCategoryData(ModularData("B", 2, 2 * m)),
+}
 
 
-def _eseries(series):
-    if series not in _ESERIES:
-        _ESERIES[series] = verifier.check_E_series_thresholds(series)
-    return _ESERIES[series]
-
-
-def _phase_matches(md_or_loc, t: Fraction) -> bool:
-    import cmath
-    import math
-    want = cmath.exp(1j * math.pi * float(t))
-    if isinstance(md_or_loc, LocalCategoryData):
-        got = wittlab.local_gauss_phase(md_or_loc)
-    else:
-        got = md_or_loc.gauss_sum_phase
-    return abs(got - want) < 1e-9
+def _phases_match(family: str) -> bool:
+    """Closed-form xi against the Gauss sum over wittlab.NUMERIC_RANGES."""
+    build = _GAUSS_FAMILIES[family]
+    return all(
+        abs(build(p).gauss_sum_phase
+            - RationalAngle(wittlab.closed_form_exponent(family, p)).value())
+        < 1e-9 for p in wittlab.NUMERIC_RANGES[family])
 
 
 def _thm1_checks():
@@ -463,29 +440,12 @@ def _witt_checks():
     def add(family, level, name, fn):
         ck.append({"family": family, "level": level, "name": name, "fn": fn})
 
-    def so5_phases():
-        return all(_phase_matches(ModularData("B", 2, k),
-                                  wittlab.closed_form_exponent("so5", k))
-                   for k in range(1, 13))
-
-    def g2_phases():
-        return all(_phase_matches(ModularData("G", 2, k),
-                                  wittlab.closed_form_exponent("g2", k))
-                   for k in range(1, 11))
-
-    def local_phases():
-        for m in range(1, 8):
-            loc = LocalCategoryData(ModularData("B", 2, 2 * m))
-            if not _phase_matches(
-                    loc, wittlab.closed_form_exponent("so5_local_even", m)):
-                return False
-        return True
-
     add("so5", 12, "so5 closed-form xi matches Gauss sums, k=1..12",
-        so5_phases)
-    add("g2", 10, "g2 closed-form xi matches Gauss sums, k=1..10", g2_phases)
+        lambda: _phases_match("so5"))
+    add("g2", 10, "g2 closed-form xi matches Gauss sums, k=1..10",
+        lambda: _phases_match("g2"))
     add("so5", 14, "so5 local xi equals the ambient xi, k=2..14 even",
-        local_phases)
+        lambda: _phases_match("so5_local_even"))
     add("g2", 40, "g2 charge window (3,7/2) is exactly k>=25",
         lambda: all(e["in_window"] == (e["param"] >= 25) for e in
                     wittlab.central_charge_sweep("g2",
@@ -620,6 +580,10 @@ def main(argv=None) -> int:
     except SystemExit as e:         # argparse uses 2 for usage errors
         return int(e.code or 0)
     try:
+        if hasattr(ns, "series"):       # every subcommand but verify
+            bad = _capacity_gate(ns)
+            if bad is not None:
+                return bad
         return ns.fn(ns)
     except (verifier.CapacityError, DimensionCapError) as e:
         print(f"capacity exceeded: {e}", file=sys.stderr)

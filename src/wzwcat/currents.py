@@ -9,6 +9,7 @@ in the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .modular import ModularData, RationalAngle
 
-_QDIM_TOL = 1e-6
 _PERM_TOL = 1e-4
 
 
@@ -43,13 +43,33 @@ def current_action(md: ModularData, j: int) -> tuple:
     return tuple(perm)
 
 
-def find_invertibles(md: ModularData) -> tuple:
-    """Indices of verified invertible simples, unit first."""
-    # qdims >= 1 in the unitary theory, so the test is one-sided
-    out = [i for i, d in enumerate(md.qdims) if d < 1.0 + _QDIM_TOL]
-    for i in out:
-        current_action(md, i)
-    return tuple(sorted(out))
+def invariant_factors(orders) -> tuple:
+    """Invariant factors, largest first, of a finite abelian group given
+    the multiset of its element orders.
+
+    For a prime p with cyclic p-factors of exponents e_1, e_2, ..., the
+    elements of order dividing p^e number p^c(e), c(e) = sum_i min(e_i, e).
+    So c(e) - c(e-1) factors have exponent at least e, and each of the
+    c(e) - c(e-1) largest invariant factors takes one more p.
+    """
+    orders = tuple(orders)
+    factors, rest, p = [], len(orders), 2
+    while rest > 1:
+        below, q = 0, 1
+        while rest % p == 0:           # q = p^e for e up to v_p(|G|)
+            rest, q = rest // p, q * p
+            count = sum(1 for m in orders if q % m == 0)
+            c = round(math.log(count, p))
+            if p ** c != count:
+                raise ValueError("element orders do not form an abelian group")
+            wide = c - below           # factors with p-exponent >= e
+            factors += [1] * (wide - len(factors))
+            factors[:wide] = [f * p for f in factors[:wide]]
+            below = c
+        p += 1
+    if math.prod(factors) != len(orders):
+        raise ValueError("element orders do not form an abelian group")
+    return tuple(factors)
 
 
 @dataclass
@@ -65,7 +85,7 @@ class CurrentGroup:
     actions: dict = field(init=False)
 
     def __post_init__(self):
-        self.indices = find_invertibles(self.md)
+        self.indices = self.md.pointed_indices
         self.actions = {j: current_action(self.md, j) for j in self.indices}
         assert self.indices[0] == 0
         for j in self.indices:
@@ -90,16 +110,8 @@ class CurrentGroup:
         return n
 
     def group_id(self) -> tuple:
-        """Invariant factors; the groups here are small (order <= 4)."""
-        n = self.order
-        if n == 1:
-            return ()
-        m = max(self.element_order(j) for j in self.indices)
-        if m == n:
-            return (n,)
-        if n == 4 and m == 2:
-            return (2, 2)
-        raise NotImplementedError(f"unexpected invertible group of order {n}")
+        """Invariant factors of the group, largest first."""
+        return invariant_factors(self.element_order(j) for j in self.indices)
 
     def twist(self, j: int) -> RationalAngle:
         return self.md.twists[j]
@@ -130,6 +142,19 @@ class CurrentGroup:
         cands = self.tannakian_subgroups()
         best = max(len(s) for s in cands)
         return min(s for s in cands if len(s) == best)
+
+    def check_tannakian(self, subgroup) -> tuple:
+        """subgroup as a sorted index tuple, or ValueError unless it is a
+        fusion-closed set of invertibles with every twist trivial."""
+        sub = tuple(sorted(subgroup))
+        if any(j not in self.indices for j in sub):
+            raise ValueError("subgroup contains non-invertible indices")
+        if any(self.product(a, b) not in sub for a in sub for b in sub):
+            raise ValueError("subgroup is not closed under fusion")
+        bad = [j for j in sub if not self.twist(j).is_trivial]
+        if bad:
+            raise ValueError(f"subgroup is not Tannakian; twists != 1 at {bad}")
+        return sub
 
     def orbit(self, subgroup: tuple, i: int) -> tuple:
         """H-orbit of alcove index i, sorted."""

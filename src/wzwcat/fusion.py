@@ -68,8 +68,13 @@ class FusionTensor:
                 self.row(i, j)
         return self._rows
 
-    def is_multiplicity_free(self) -> bool:
+    def triples(self):
+        """(i, j, l, N_{ij}^l) for i <= j and N nonzero, in index order."""
         r = self.alcove.rank
-        return all(c <= 1
-                   for i in range(r) for j in range(i, r)
-                   for c in self.row(i, j).values())
+        for i in range(r):
+            for j in range(i, r):
+                for l, n in sorted(self.row(i, j).items()):
+                    yield i, j, l, int(n)
+
+    def is_multiplicity_free(self) -> bool:
+        return all(n <= 1 for *_, n in self.triples())

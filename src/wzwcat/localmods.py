@@ -9,13 +9,12 @@ is deliberately out of scope; aggregate quantities never need it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .currents import CurrentGroup
-from .modular import ModularData, RationalAngle
-
-_POINTED_TOL = 1e-6
+from .currents import CurrentGroup, invariant_factors
+from .modular import POINTED_TOL, ModularData, RationalAngle, gauss_phase
 
 
 @dataclass(frozen=True)
@@ -36,17 +35,7 @@ class LocalCategoryData:
         self.currents = currents if currents is not None else CurrentGroup(md)
         if subgroup is None:
             subgroup = self.currents.maximal_tannakian()
-        subgroup = tuple(sorted(subgroup))
-        cg = self.currents
-        if any(j not in cg.indices for j in subgroup):
-            raise ValueError("subgroup contains non-invertible indices")
-        if any(cg.product(a, b) not in subgroup
-               for a in subgroup for b in subgroup):
-            raise ValueError("subgroup is not closed under fusion")
-        bad = [j for j in subgroup if not cg.twist(j).is_trivial]
-        if bad:
-            raise ValueError(f"subgroup is not Tannakian; twists != 1 at {bad}")
-        self.subgroup = subgroup
+        self.subgroup = self.currents.check_tannakian(subgroup)
         self._build()
 
     def _build(self):
@@ -105,9 +94,14 @@ class LocalCategoryData:
         return abs(total - self.global_dim) / self.global_dim
 
     @property
+    def gauss_sum_phase(self) -> complex:
+        """Normalized Gauss sum; equals the ambient phase."""
+        return gauss_phase(self.qdims, self.twists)
+
+    @property
     def pointed_indices(self) -> tuple:
         return tuple(i for i, s in enumerate(self.simples)
-                     if abs(s.qdim - 1.0) < _POINTED_TOL)
+                     if abs(s.qdim - 1.0) < POINTED_TOL)
 
     @property
     def pointed_rank(self) -> int:
@@ -156,7 +150,7 @@ class LocalCategoryData:
                 cur = mul(cur, r)
                 n += 1
             orders.append(n)
-        return _invariant_factors(len(idxs), orders)
+        return invariant_factors(orders)
 
     def monodromy(self, current_rep: int, simple: LocalSimple) -> RationalAngle:
         """Double-braiding scalar of an invertible free module with a simple,
@@ -248,34 +242,17 @@ class LocalCategoryData:
         }
 
 
-def _invariant_factors(n: int, orders) -> tuple:
-    """Invariant factors of a small abelian group from its element orders."""
-    if n == 1:
-        return ()
-    m = max(orders)
-    if m == n:
-        return (n,)
-    if n == 4 and m == 2:
-        return (2, 2)
-    if n == 8 and m == 2:
-        return (2, 2, 2)
-    if n == 8 and m == 4:
-        return (4, 2)
-    if n == 9 and m == 3:
-        return (3, 3)
-    raise NotImplementedError(f"order-{n} group with exponent {m}")
-
-
 def _deduce_abelian_structure(n: int, twists) -> tuple | None:
     """Best-effort structure of a pointed part that contains split pieces.
 
-    The twist is a quadratic form q on the group: q(m*x) = m^2 q(x).  For
+    Every abelian group of square-free order is cyclic.  Otherwise the
+    twist is a quadratic form q on the group: q(m*x) = m^2 q(x).  For
     order 4 that pins the multiset {0, t, 4t, t} for a Z/4 generator t,
     which is enough to separate Z/4 from Z/2 x Z/2 in the cases in scope.
     """
     if n == 1:
         return ()
-    if n in (2, 3, 5, 7):
+    if all(n % (p * p) for p in range(2, math.isqrt(n) + 1)):
         return (n,)
     if n == 4:
         observed = sorted(Fraction(t) % 2 for t in twists)

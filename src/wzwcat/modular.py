@@ -14,6 +14,7 @@ from .fusion import FusionTensor
 from .rootsys import build_root_system, weyl_orbit_signs
 
 WEYL_GROUP_CAP = 10_000_000
+POINTED_TOL = 1e-6     # |d - 1| below this marks an invertible simple
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,18 @@ class RationalAngle:
 def twist_angle(rs, ell: int, lam) -> RationalAngle:
     """theta_lambda = exp(i pi <lam, lam + 2 rho>/ell), kept exact."""
     return RationalAngle(Fraction(rs.norm_plus_2rho(tuple(lam)), 1) / ell)
+
+
+def central_charge(rs, k: int) -> Fraction:
+    """k dim(g)/(k + h_dual), exact; defined mod 8 as a chiral charge."""
+    dim_g = 2 * len(rs.pos_roots) + rs.rank
+    return Fraction(k * dim_g, k + rs.h_dual)
+
+
+def gauss_phase(qdims, twists) -> complex:
+    """xi = (sum d^2 theta)/|sum d^2 theta|; equals exp(i pi c/4)."""
+    total = sum(d * d * t.value() for d, t in zip(qdims, twists))
+    return total / abs(total)
 
 
 class ModularData:
@@ -86,11 +99,14 @@ class ModularData:
         return tuple(twist_angle(self.rs, ell, w) for w in self.weights)
 
     @cached_property
+    def pointed_indices(self) -> tuple:
+        """Indices of the invertible simples (quantum dimension 1)."""
+        return tuple(i for i, d in enumerate(self.qdims)
+                     if abs(d - 1.0) < POINTED_TOL)
+
+    @cached_property
     def central_charge(self) -> Fraction:
-        """k dim(g)/(k + h_dual), exact; defined mod 8 as a chiral charge."""
-        rs = self.rs
-        dim_g = 2 * len(rs.pos_roots) + rs.rank
-        return Fraction(self.k * dim_g, self.k + rs.h_dual)
+        return central_charge(self.rs, self.k)
 
     @cached_property
     def smatrix(self) -> np.ndarray:
@@ -147,9 +163,7 @@ class ModularData:
 
     @cached_property
     def gauss_sum_phase(self) -> complex:
-        """xi = (sum d^2 theta)/|sum d^2 theta|; equals exp(i pi c/4)."""
-        total = sum(d * d * t.value() for d, t in zip(self.qdims, self.twists))
-        return total / abs(total)
+        return gauss_phase(self.qdims, self.twists)
 
     def charge_angle(self) -> RationalAngle:
         """Exact angle of the Gauss phase, c/4 mod 2."""

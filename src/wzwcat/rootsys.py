@@ -308,10 +308,6 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     return mult
 
 
-def weight_multiplicity(rs: RootSystem, lam: Weight, mu: Weight) -> int:
-    return weight_system(rs, lam).get(tuple(mu), 0)
-
-
 def weyl_orbit_signs(rs: RootSystem, x: Weight, cap: int = 10_000_000) -> dict:
     """Free Weyl orbit of a strictly dominant weight with det signs."""
     if any(v <= 0 for v in x):

@@ -94,13 +94,10 @@ def check_factorization_obstruction(series: str, rank: int, k: int,
     else:
         by_weight = {md.weights[j]: j for j in cg.indices}
         try:
-            sub = tuple(sorted(by_weight[tuple(w)] for w in subgroup))
+            idxs = [by_weight[tuple(w)] for w in subgroup]
         except KeyError as bad:
             raise ValueError(f"subgroup weight is not invertible: {bad}")
-        if any(cg.product(a, b) not in sub for a in sub for b in sub):
-            raise ValueError("subgroup not closed under fusion")
-        if any(not cg.twist(j).is_trivial for j in sub):
-            raise ValueError("subgroup is not Tannakian")
+        sub = cg.check_tannakian(idxs)
     b = tuple(beta) if beta is not None else probe_weight(md.rs)
     if md.rs.level(b) > k:
         raise ValueError(

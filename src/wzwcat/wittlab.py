@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .localmods import LocalCategoryData
-from .modular import ModularData
+from .modular import ModularData, central_charge
 from .rootsys import build_root_system
 from .verifier import self_dual_count
 
 _DIM_TOL = 1e-6
-_POINTED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,33 +77,21 @@ def fingerprint(data, label: str | None = None) -> WittFingerprint:
     freeness is left undecided for local data because the census does
     not resolve Hom spaces between split pieces.
     """
-    if isinstance(data, LocalCategoryData):
-        md = data.md
-        if label is None:
-            label = f"C({md.rs.name},{md.k}) local"
-        return WittFingerprint(
-            label=label,
-            rank=data.rank,
-            charge_exponent=md.charge_angle().t,
-            dim_multiset=tuple(sorted(float(q) for q in data.qdims)),
-            twist_multiset=tuple(sorted(a.t for a in data.twists)),
-            self_dual_count=data.self_dual_count(),
-            pointed_rank=data.pointed_rank,
-            multiplicity_free=None)
-    if isinstance(data, ModularData):
-        if label is None:
-            label = f"C({data.rs.name},{data.k})"
-        return WittFingerprint(
-            label=label,
-            rank=data.rank,
-            charge_exponent=data.charge_angle().t,
-            dim_multiset=tuple(sorted(float(q) for q in data.qdims)),
-            twist_multiset=tuple(sorted(a.t for a in data.twists)),
-            self_dual_count=self_dual_count(data),
-            pointed_rank=int(sum(abs(q - 1.0) < _POINTED_TOL
-                                 for q in data.qdims)),
-            multiplicity_free=data.fusion.is_multiplicity_free())
-    raise TypeError(f"cannot fingerprint {type(data).__name__}")
+    local = isinstance(data, LocalCategoryData)
+    if not local and not isinstance(data, ModularData):
+        raise TypeError(f"cannot fingerprint {type(data).__name__}")
+    md = data.md if local else data
+    if label is None:
+        label = f"C({md.rs.name},{md.k})" + (" local" if local else "")
+    return WittFingerprint(
+        label=label,
+        rank=data.rank,
+        charge_exponent=md.charge_angle().t,
+        dim_multiset=tuple(sorted(float(q) for q in data.qdims)),
+        twist_multiset=tuple(sorted(a.t for a in data.twists)),
+        self_dual_count=self_dual_count(data),
+        pointed_rank=len(data.pointed_indices),
+        multiplicity_free=None if local else data.fusion.is_multiplicity_free())
 
 
 def _charge_orientations(a: WittFingerprint, b: WittFingerprint):
@@ -158,9 +145,7 @@ def coincidence_test(a: WittFingerprint, b: WittFingerprint) -> str:
 
 def central_charge_fraction(series: str, rank: int, k: int) -> Fraction:
     """Exact c = k dim(g)/(k+h_dual), no alcove needed."""
-    rs = build_root_system(series, rank)
-    dim_g = rs.rank + 2 * len(rs.pos_roots)
-    return Fraction(k * dim_g, k + rs.h_dual)
+    return central_charge(build_root_system(series, rank), k)
 
 
 def closed_form_exponent(family: str, param: int) -> Fraction:
@@ -217,13 +202,6 @@ def central_charge_sweep(family: str, params) -> dict:
     first = next((e["param"] for e in entries if e["in_window"]), None)
     return {"family": family, "window": (lo, hi),
             "entries": tuple(entries), "first_in_window": first}
-
-
-def local_gauss_phase(loc: LocalCategoryData) -> complex:
-    """Normalized Gauss sum of a local census; equals the ambient phase."""
-    total = sum(s.qdim ** 2 * cmath.exp(1j * math.pi * float(s.twist.t))
-                for s in loc.simples)
-    return total / abs(total)
 
 
 # ---------------------------------------------------------------------------

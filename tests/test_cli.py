@@ -95,6 +95,19 @@ def test_cache_reuse(tmp_path, capsys, monkeypatch):
     assert len(list(env_dir.glob("B2-k2-*.json"))) == 1
 
 
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):
+    args = ["data", "B", "2", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    (cached,) = tmp_path.glob("B2-k2-*.json")
+    whole = cached.read_text()
+    cached.write_text(whole[: len(whole) // 2])
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
+    assert cached.read_text() == whole
+
+
 def test_verify_witt(capsys):
     assert cli.main(["verify", "witt"]) == 0
     out = capsys.readouterr().out

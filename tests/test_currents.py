@@ -1,8 +1,12 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from wzwcat.currents import CurrentGroup, NotInvertibleError, current_action
+from wzwcat.currents import (CurrentGroup, NotInvertibleError, current_action,
+                             invariant_factors)
 from wzwcat.modular import ModularData
 
 
@@ -113,3 +117,57 @@ def test_noninvertible_rejected():
     md = ModularData("A", 1, 2)
     with pytest.raises(NotInvertibleError):
         current_action(md, 1)  # the Ising sigma row is not a permutation
+
+
+def _element_orders(moduli):
+    """Orders of all elements of Z/m_1 x ... x Z/m_r."""
+    return [math.lcm(*(m // math.gcd(x, m) for x, m in zip(xs, moduli)))
+            for xs in itertools.product(*(range(m) for m in moduli))]
+
+
+def _reference_factors(moduli):
+    """Invariant factors from the sorted p-part exponents of the moduli:
+    the i-th factor is the product over p of p^(i-th largest exponent)."""
+    exps = {}
+    for m in moduli:
+        p = 2
+        while m > 1:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            if e:
+                exps.setdefault(p, []).append(e)
+            p += 1
+    width = max((len(es) for es in exps.values()), default=0)
+    factors = [1] * width
+    for p, es in exps.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            factors[i] *= p ** e
+    return tuple(factors)
+
+
+def _capped(moduli, cap=256):
+    """Longest prefix whose product stays within cap."""
+    out = []
+    for m in moduli:
+        if math.prod(out) * m > cap:
+            break
+        out.append(m)
+    return out
+
+
+@given(st.lists(st.integers(1, 256), max_size=8).map(_capped))
+def test_invariant_factors_of_random_products(moduli):
+    assert invariant_factors(_element_orders(moduli)) \
+        == _reference_factors(moduli)
+
+
+def test_invariant_factors_explicit():
+    for moduli, want in (((4, 2), (4, 2)), ((2, 2, 2), (2, 2, 2)),
+                         ((3, 3), (3, 3)), ((4, 4), (4, 4)),
+                         ((2, 3), (6,)), ((1,), ())):
+        assert invariant_factors(_element_orders(moduli)) == want
+    # a unit and two elements of order 2: no group of order 3 has those
+    with pytest.raises(ValueError):
+        invariant_factors([1, 2, 2])

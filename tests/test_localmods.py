@@ -67,6 +67,7 @@ def test_sl4_level2_exceptional_adjoint():
     assert loc.subgroup_order == 2
     assert loc.rank == 6
     assert all(abs(d - 1.0) < 1e-9 for d in loc.qdims)
+    assert loc.pointed_part()["structure"] == (6,)
     idx = loc.md.alcove.index
     beta = idx[(1, 0, 1)]
     pieces = [s for s in loc.simples if s.rep == beta]
@@ -75,6 +76,16 @@ def test_sl4_level2_exceptional_adjoint():
     # grading by split invertibles is ambiguous, so adjoint_rank refuses
     with pytest.raises(ValueError):
         loc.adjoint_rank()
+
+
+def test_squarefree_pointed_part_is_cyclic():
+    # so10 at level 2 has a pointed part of order 10 that contains split
+    # pieces; every abelian group of square-free order is cyclic
+    loc = local_category("D", 5, 2)
+    part = loc.pointed_part()
+    assert part["rank"] == 10
+    assert any(loc.simples[i].split > 1 for i in loc.pointed_indices)
+    assert part["structure"] == (10,)
 
 
 def test_global_dim_quotient_and_closure():

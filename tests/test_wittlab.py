@@ -76,9 +76,7 @@ def test_closed_form_exponents_match_gauss_sums():
             t = W.closed_form_exponent(family, p) % 2
             want = cmath.exp(1j * math.pi * float(t))
             data = build(p)
-            got = (W.local_gauss_phase(data)
-                   if family == "so5_local_even" else data.gauss_sum_phase)
-            assert abs(got - want) < 1e-9, (family, p)
+            assert abs(data.gauss_sum_phase - want) < 1e-9, (family, p)
 
 
 def test_so5_exponent_values():
@@ -134,4 +132,4 @@ def test_central_charge_fraction():
 def test_local_gauss_phase_matches_ambient():
     for series, rank, k in (("A", 1, 4), ("B", 2, 4), ("A", 2, 3)):
         loc = local_category(series, rank, k)
-        assert abs(W.local_gauss_phase(loc) - loc.md.gauss_sum_phase) < 1e-9
+        assert abs(loc.gauss_sum_phase - loc.md.gauss_sum_phase) < 1e-9
