@@ -276,6 +276,8 @@ def cmd_local(ns) -> int:
     try:
         subgroup = _parse_subgroup(md, ns.subgroup)
         loc = LocalCategoryData(md, subgroup=subgroup)
+    except DimensionCapError:
+        raise                   # capacity, not usage: main exits 3
     except ValueError as e:
         print(f"invalid subgroup: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -121,7 +121,7 @@ class LocalCategoryData:
     def pointed_part(self) -> dict:
         """Group structure and twists of the invertible simples.
 
-        Free invertibles multiply through free_fusion.  Split pieces cannot
+        Free invertibles multiply as simple currents.  Split pieces cannot
         be multiplied individually here, so when any occur the structure is
         deduced from the order and the twist quadratic form; None means the
         deduction was inconclusive.
@@ -136,18 +136,16 @@ class LocalCategoryData:
         return {"rank": len(idxs), "structure": structure, "twists": twists}
 
     def _free_pointed_structure(self, idxs) -> tuple:
-        reps = [self.simples[i].rep for i in idxs]
-
-        def mul(x, y):
-            prod = self.free_fusion(x, y)
-            assert len(prod) == 1 and next(iter(prod.values())) == 1
-            return next(iter(prod))
-
+        """Invariant factors of the group of free invertibles.  The rep of
+        each is a simple current, so a product is the orbit rep of the
+        current's action on the other rep."""
+        rep_of = {x: orb[0] for orb in self.orbits for x in orb}
         orders = []
-        for r in reps:
+        for i in idxs:
+            r = self.simples[i].rep
             n, cur = 1, r
             while cur != 0:
-                cur = mul(cur, r)
+                cur = rep_of[self.currents.product(cur, r)]
                 n += 1
             orders.append(n)
         return invariant_factors(orders)

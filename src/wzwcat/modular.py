@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,9 +12,18 @@ import numpy as np
 
 from .alcove import Alcove
 from .fusion import FusionTensor
-from .rootsys import build_root_system, weyl_orbit_signs
+from .rootsys import (DimensionCapError, build_root_system, weyl_group_order,
+                      weyl_orbit_signs)
 
 WEYL_GROUP_CAP = 10_000_000
+# The S-matrix sums |W| r(r+1)/2 terms for r simples.  At the 1.4e8 terms/s
+# measured on a 2-vCPU x86-64 VM (A5 k8, D5 k8) the cap is about 70 s;
+# A7 k8 (8.3e11 terms) is refused.
+SMATRIX_TERM_CAP = 10_000_000_000
+# Working arrays of one step of that sum.  Steps that stay in cache ran
+# about twice as fast per term as 32 MiB ones; 1 and 2 MiB ran alike.
+SMATRIX_CHUNK_BYTES = 1 << 20
+_TERM_BYTES = 40        # float and int phase index, quotient, phase
 POINTED_TOL = 1e-6     # |d - 1| below this marks an invertible simple
 
 
@@ -63,6 +73,43 @@ def gauss_phase(qdims, twists) -> complex:
     return total / abs(total)
 
 
+def _weyl_matrices(rs, orbit: dict):
+    """W as int8 matrices on Dynkin labels, with det signs as int8.
+
+    orbit is weyl_orbit_signs(rs, rho): free, in nondecreasing length, the
+    sign (-1)^length, so each run of equal signs is one length.  w(rho)
+    with a negative label i has the shorter element s_i w one length
+    earlier, and M_w = R_i M_{s_i w} with R_i the reflection's matrix.
+    """
+    r = rs.rank
+    pts = np.fromiter(itertools.chain.from_iterable(orbit), dtype=np.int8,
+                      count=len(orbit) * r).reshape(-1, r)
+    signs = np.fromiter(orbit.values(), dtype=np.int8, count=len(orbit))
+    cartan = np.array(rs.cartan, dtype=np.int64)
+    base = 2 * int(np.abs(pts).max()) + 1
+    if base ** r >= 2 ** 63:
+        raise AssertionError("orbit labels too wide to encode")
+    radix = base ** np.arange(r, dtype=np.int64)
+    mats = np.empty((len(pts), r, r), dtype=np.int8)
+    mats[0] = np.eye(r, dtype=np.int8)
+    cuts = [0, *(np.flatnonzero(np.diff(signs)) + 1), len(pts)]
+    for prev, start, stop in zip(cuts, cuts[1:], cuts[2:]):
+        y = pts[start:stop].astype(np.int64)
+        lanes = np.arange(len(y))
+        i = np.argmax(y < 0, axis=1)
+        parent = y - y[lanes, i][:, None] * cartan[i]       # s_i(w(rho))
+        codes = (pts[prev:start].astype(np.int64) + base // 2) @ radix
+        order = np.argsort(codes, kind="stable")
+        hit = order[np.searchsorted(codes, (parent + base // 2) @ radix,
+                                    sorter=order)]
+        # int16 holds every step: |a_ij| <= 3, and the entries of M_w are
+        # coroot coefficients, at most 6
+        pm = mats[prev + hit].astype(np.int16)
+        ci = cartan[i].astype(np.int16)
+        mats[start:stop] = pm - ci[:, :, None] * pm[lanes, i][:, None, :]
+    return mats, signs
+
+
 class ModularData:
     """S and T data of the level-k alcove of a simple type.
 
@@ -110,24 +157,57 @@ class ModularData:
 
     @cached_property
     def smatrix(self) -> np.ndarray:
-        rs = self.rs
-        ell = self.alcove.ell
-        n = rs.rank
-        weights = self.weights
-        # Weyl group size guard: |W| = number of elements in the rho orbit
-        fmat = np.array([[float(x) for x in row] for row in rs.quad_form])
-        mu_rows = np.array([[x + 1 for x in w] for w in weights], dtype=float)
-        size = self.rank
-        u = np.zeros((size, size), dtype=complex)
-        for a, lam in enumerate(weights):
-            orbit = weyl_orbit_signs(rs, tuple(x + 1 for x in lam),
-                                     cap=WEYL_GROUP_CAP)
-            pts = np.array(list(orbit.keys()), dtype=float)
-            sgn = np.array(list(orbit.values()), dtype=float)
-            phases = (pts @ fmat @ mu_rows.T) * (-2.0 * math.pi / ell)
-            u[a] = sgn @ np.exp(1j * phases)
-        norm = np.linalg.norm(u[0])
-        u /= norm
+        """Kac-Peterson S, up to one normalisation:
+
+            S_ab ~ sum_w det(w) exp(-2 pi i <w(x_a), x_b> / ell),
+            x = lambda + rho,
+
+        scaled to unit rows with S_00 real positive.  W is enumerated once,
+        as the free orbit of rho, and turned into integer matrices.
+        D <w(x_a), x_b> is an integer for D the common denominator of the
+        quadratic form, so each term is a (D ell)-th root of unity looked up
+        by its index.  Only entries with b >= a are summed (S = S^T), over
+        chunks of W whose working arrays fit SMATRIX_CHUNK_BYTES.
+        """
+        rs, n, r = self.rs, self.rank, self.rs.rank
+        order = weyl_group_order(rs)
+        terms = order * n * (n + 1) // 2
+        if order > WEYL_GROUP_CAP or terms > SMATRIX_TERM_CAP:
+            raise DimensionCapError(
+                f"S-matrix of {rs.name} level {self.k} sums {terms} Weyl "
+                f"terms (|W| = {order}), over the caps {SMATRIX_TERM_CAP} "
+                f"terms and |W| {WEYL_GROUP_CAP}")
+        mats, signs = _weyl_matrices(rs, weyl_orbit_signs(rs, rs.rho))
+        denom = math.lcm(*(f.denominator for row in rs.quad_form for f in row))
+        gram = np.array([[float(f * denom) for f in row]
+                         for row in rs.quad_form])
+        period = denom * self.alcove.ell
+        roots = np.exp(-2j * math.pi / period * np.arange(period))
+        x = np.array(self.weights, dtype=np.float64) + 1
+        # a chunk of W holds one full row of terms and its matrices; then as
+        # many rows as fit SMATRIX_CHUNK_BYTES, for columns b >= a0 only
+        chunk = max(1, SMATRIX_CHUNK_BYTES // (_TERM_BYTES * n + 16 * r * r))
+        u = np.zeros((n, n), dtype=complex)
+        for w0 in range(0, order, chunk):
+            # M_w^T G, so that D <w(x_a), x_b> = x_a . (M_w^T G) x_b
+            p = mats[w0:w0 + chunk].transpose(0, 2, 1).astype(np.float64) @ gram
+            sgn = signs[w0:w0 + chunk].astype(np.float64)
+            a0 = 0
+            while a0 < n:
+                rows = max(1, SMATRIX_CHUNK_BYTES
+                           // (_TERM_BYTES * len(sgn) * (n - a0)))
+                v = np.matmul(x[a0:a0 + rows], p).reshape(-1, r)
+                idx = (v @ x[a0:].T).astype(np.intp)
+                # idx mod period; floor division by a scalar is several
+                # times faster than np.remainder
+                idx -= idx // period * period
+                phase = roots.take(idx).reshape(len(sgn), -1)
+                block = (sgn @ phase.view(np.float64)).view(complex)
+                u[a0:a0 + rows, a0:] += block.reshape(-1, n - a0)
+                a0 += rows
+        for a in range(1, n):
+            u[a, :a] = u[:a, a]
+        u /= np.linalg.norm(u[0])
         # common phase so the vacuum entry is real positive
         u *= cmath.exp(-1j * cmath.phase(u[0, 0]))
         return u

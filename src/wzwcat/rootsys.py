@@ -12,6 +12,7 @@ that choice the Dynkin labels of a root ``sum_j c_j alpha_j`` are
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -308,22 +309,48 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     return mult
 
 
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| = rank! * (product of the marks) * det(cartan), exactly.
+
+    Bourbaki, Lie Groups ch. VI, 2.4; det(cartan) is the index of
+    connection.  No pivoting: the leading minors of a Cartan matrix of
+    finite type are positive.
+    """
+    m = [[Fraction(x) for x in row] for row in rs.cartan]
+    det = Fraction(1)
+    for c in range(rs.rank):
+        det *= m[c][c]
+        for r in range(c + 1, rs.rank):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return math.factorial(rs.rank) * math.prod(rs.marks) * int(det)
+
+
 def weyl_orbit_signs(rs: RootSystem, x: Weight, cap: int = 10_000_000) -> dict:
-    """Free Weyl orbit of a strictly dominant weight with det signs."""
+    """Free Weyl orbit of a strictly dominant weight with det signs.
+
+    Breadth-first from x by simple reflections, so the points w(x) come in
+    nondecreasing length of w and each sign det(w) is (-1)^length(w).
+    """
     if any(v <= 0 for v in x):
         raise ValueError("orbit seed must be strictly dominant")
-    orbit = {tuple(x): 1}
+    rows = tuple(enumerate(rs.cartan))
+    sign = 1
+    orbit = {tuple(x): sign}
     layer = [tuple(x)]
     while layer:
+        sign = -sign
         nxt = []
         for w in layer:
-            s = orbit[w]
-            for i in range(rs.rank):
-                if w[i] == 0:
-                    raise AssertionError("orbit hit a wall")
-                y = rs.simple_reflection(w, i)
+            for i, row in rows:
+                wi = w[i]
+                if wi <= 0:
+                    if wi == 0:
+                        raise AssertionError("orbit hit a wall")
+                    continue    # s_i w is one length shorter: already seen
+                y = tuple([a - wi * c for a, c in zip(w, row)])
                 if y not in orbit:
-                    orbit[y] = -s
+                    orbit[y] = sign
                     nxt.append(y)
                     if len(orbit) > cap:
                         raise DimensionCapError(f"Weyl orbit exceeds {cap}")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -71,6 +72,15 @@ def test_explicit_subgroup(capsys):
 def test_capacity_gate():
     code = cli.main(["data", "A", "2", "100", "--max-alcove", "1000"])
     assert code == cli.EXIT_CAPACITY
+
+
+def test_oversized_smatrix_exits_capacity(capsys):
+    # A7 level 8 has 6435 simples, under the alcove cap, but its S-matrix
+    # sums 40320 * 6435 * 6436 / 2 Weyl terms; refused before any of it
+    t0 = time.perf_counter()
+    assert cli.main(["local", "A", "7", "8"]) == cli.EXIT_CAPACITY
+    assert time.perf_counter() - t0 < 10
+    assert "capacity exceeded" in capsys.readouterr().err
 
 
 def test_usage_errors():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from wzwcat.currents import invariant_factors
 from wzwcat.localmods import LocalCategoryData, local_category
 from wzwcat.modular import ModularData
 
@@ -145,6 +146,26 @@ def test_free_fusion_aggregates():
     idx = so5.md.alcove.index
     sq = so5.free_fusion(idx[(0, 2)], idx[(0, 2)])
     assert sq[idx[(0, 0)]] == 1
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 5, 3), ("D", 5, 4),
+                                           ("A", 3, 12)])
+def test_pointed_structure_matches_fold_route(series, rank, k):
+    # pointed_part multiplies free invertibles as simple currents; the
+    # fold route (free_fusion) must give the same group
+    loc = local_category(series, rank, k)
+    pieces = [loc.simples[i] for i in loc.pointed_indices]
+    assert len(pieces) > 1 and all(p.split == 1 for p in pieces)
+    orders = []
+    for p in pieces:
+        n, cur = 1, p.rep
+        while cur != 0:
+            prod = loc.free_fusion(cur, p.rep)
+            assert list(prod.values()) == [1]
+            cur = next(iter(prod))
+            n += 1
+        orders.append(n)
+    assert loc.pointed_part()["structure"] == invariant_factors(orders)
 
 
 def test_free_fusion_dimension_bookkeeping():

@@ -6,6 +6,24 @@ import numpy as np
 import pytest
 
 from wzwcat.modular import ModularData, RationalAngle
+from wzwcat.rootsys import weyl_orbit_signs
+
+
+def _naive_smatrix(md):
+    """Row by row: the Weyl orbit of lambda + rho and float phases
+    exp(-2 pi i <w(lambda + rho), mu + rho>/ell), scaled to unit rows
+    with S_00 real positive."""
+    rs, ell = md.rs, md.alcove.ell
+    form = np.array([[float(x) for x in row] for row in rs.quad_form])
+    shifted = np.array(md.weights, dtype=float) + 1
+    u = np.zeros((md.rank, md.rank), dtype=complex)
+    for a, x in enumerate(shifted):
+        orbit = weyl_orbit_signs(rs, tuple(int(v) for v in x))
+        pts = np.array(list(orbit), dtype=float)
+        sgn = np.array(list(orbit.values()), dtype=float)
+        u[a] = sgn @ np.exp(-2j * math.pi / ell * (pts @ form @ shifted.T))
+    u /= np.linalg.norm(u[0])
+    return u * cmath.exp(-1j * cmath.phase(u[0, 0]))
 
 
 def test_rational_angle_arithmetic():
@@ -45,6 +63,23 @@ def test_smatrix_properties(series, rank, k):
     assert abs(s[0, 0].imag) < 1e-12
     # S^2 is the duality permutation
     assert np.max(np.abs(s @ s - md.charge_conjugation)) < 1e-9
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 2, 3), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2), ("E", 6, 1),
+    ("F", 4, 2), ("G", 2, 3),
+])
+def test_smatrix_matches_naive_weyl_sum(series, rank, k):
+    md = ModularData(series, rank, k)
+    s = md.smatrix
+    assert np.max(np.abs(s - _naive_smatrix(md))) < 1e-12
+    assert np.array_equal(s, s.T)
+    # modular relation (ST)^3 = S^2 with T = theta e^{-2 pi i c/24}; with
+    # the conjugate S it fails by O(1) on A2 k3 and E6 k1
+    t = np.diag([th.value() for th in md.twists]) \
+        * cmath.exp(-2j * math.pi * float(md.central_charge) / 24)
+    st = s @ t
+    assert np.max(np.abs(st @ st @ st - s @ s)) < 1e-12
 
 
 @pytest.mark.parametrize("series,rank,k", [

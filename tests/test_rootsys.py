@@ -10,6 +10,7 @@ from wzwcat.rootsys import (
     dual_weight,
     weight_system,
     weyl_dimension,
+    weyl_group_order,
     weyl_orbit_signs,
 )
 
@@ -199,6 +200,32 @@ def test_weyl_orbit_signs_counts():
     assert len(weyl_orbit_signs(rs, (1, 1))) == 8
     rs = build_root_system("G", 2)
     assert len(weyl_orbit_signs(rs, (1, 1))) == 12
+
+
+@pytest.mark.parametrize("series,rank", [
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2),
+])
+def test_weyl_orbit_order_and_signs(series, rank):
+    # length of w = number of positive roots alpha with <w(rho), alpha> < 0
+    rs = build_root_system(series, rank)
+    orbit = weyl_orbit_signs(rs, rs.rho)
+    lengths = [sum(1 for a in rs.pos_roots if rs.pairing(p, a) < 0)
+               for p in orbit]
+    assert lengths == sorted(lengths)
+    assert lengths[-1] == len(rs.pos_roots)
+    assert all(s == (-1) ** n for s, n in zip(orbit.values(), lengths))
+    assert weyl_group_order(rs) == len(orbit)
+
+
+@pytest.mark.parametrize("series,rank,order", [
+    ("A", 1, 2), ("A", 7, 40320), ("B", 2, 8), ("C", 4, 384),
+    ("D", 5, 1920), ("G", 2, 12), ("F", 4, 1152), ("E", 6, 51840),
+    ("E", 7, 2903040), ("E", 8, 696729600),
+])
+def test_weyl_group_order(series, rank, order):
+    # the standard orders (Humphreys, Reflection Groups and Coxeter Groups,
+    # ch. 2): (n+1)!, 2^n n!, 2^(n-1) n!, 12, 1152, 51840, 2903040, ...
+    assert weyl_group_order(build_root_system(series, rank)) == order
 
 
 def test_dimension_cap_raises():
