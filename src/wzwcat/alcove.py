@@ -43,12 +43,16 @@ class Alcove:
     index: dict = field(init=False)
     _fold_cache: dict = field(init=False, default_factory=dict, repr=False)
     _qdim_cache: dict = field(init=False, default_factory=dict, repr=False)
+    _kh: int = field(init=False, repr=False)
+    _theta_labels: Weight = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("level must be a positive integer")
         self.weights = tuple(self._enumerate())
         self.index = {w: i for i, w in enumerate(self.weights)}
+        self._kh = self.k + self.rs.h_dual
+        self._theta_labels = self.rs.root_labels(self.rs.highest_root)
 
     def _enumerate(self):
         n = self.rs.rank
@@ -102,9 +106,9 @@ class Alcove:
         if hit is not None:
             return hit
         rs = self.rs
-        kh = self.k + rs.h_dual
+        kh = self._kh
         comarks = rs.comarks
-        theta_labels = rs.root_labels(rs.highest_root)
+        theta_labels = self._theta_labels
         x = tuple(m + 1 for m in mu)
         sign = 1
         for _ in range(_FOLD_ITER_CAP):

@@ -256,9 +256,17 @@ def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
 def weight_system(rs: RootSystem, lam: Weight) -> dict:
     """Weights of the irreducible representation with multiplicities.
 
-    Freudenthal recursion in exact integer arithmetic, descending from the
-    highest weight one simple-root layer at a time.  Raises DimensionCapError
-    beyond DIMENSION_CAP to keep runaway requests loud.
+    Dominant-weight Freudenthal (Moody and Patera, Bull. AMS 7, 1982), in
+    exact integer arithmetic.  The dominant weights mu <= lam come from lam
+    by subtracting positive roots and keeping the dominant results; this
+    reaches all of them because the covers of the dominance order on
+    dominant weights are positive roots (Stembridge, 1998).  Freudenthal's
+    formula runs on those alone, in increasing height of lam - mu, reading
+    each term m(mu + j alpha) as m(dominate(mu + j alpha)); the string stops
+    at the first weight outside the system.  Each dominant weight is then
+    spread over its Weyl orbit by descending simple reflections.  Raises
+    DimensionCapError beyond DIMENSION_CAP, before any enumeration, to keep
+    runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
     if not dominant(lam):
@@ -266,45 +274,63 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     key = ("wsys", lam)
     if key in rs._cache:
         return rs._cache[key]
-    if weyl_dimension(rs, lam) > DIMENSION_CAP:
+    dim = weyl_dimension(rs, lam)
+    if dim > DIMENSION_CAP:
         raise DimensionCapError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
-    n = rs.rank
     d = rs.d
-    root_data = [(tuple(c * dj for c, dj in zip(alpha, d)), rs.root_labels(alpha))
-                 for alpha in rs.pos_roots]
-    simple_labels = [rs.cartan[i] for i in range(n)]
-    mult = {lam: 1}
-    coords = {lam: (0,) * n}  # coordinates of lam - mu in the root basis
-    lam2 = tuple(x + 2 for x in lam)
+    # each positive root in the root basis, as Dynkin labels, and as the
+    # coefficients cd of its pairing <x, alpha> = sum(cd * x)
+    roots = [(alpha, rs.root_labels(alpha),
+              tuple([c * dj for c, dj in zip(alpha, d)]))
+             for alpha in rs.pos_roots]
+    # dominant weights mu <= lam, with the root coordinates of lam - mu
+    coords = {lam: (0,) * rs.rank}
     layer = [lam]
     while layer:
-        cands = {}
+        nxt = []
         for mu in layer:
             base = coords[mu]
-            for i in range(n):
-                nxt = tuple(m - s for m, s in zip(mu, simple_labels[i]))
-                if nxt not in cands and nxt not in mult:
-                    c = list(base)
-                    c[i] += 1
-                    cands[nxt] = tuple(c)
-        layer = []
-        for mu, cmu in cands.items():
-            num = 0
-            for cd, alab in root_data:
-                x = tuple(m + a for m, a in zip(mu, alab))
-                while x in mult:
-                    num += mult[x] * sum(ci * xi for ci, xi in zip(cd, x))
-                    x = tuple(m + a for m, a in zip(x, alab))
-            if num == 0:
-                continue
-            lam_mu = tuple(a + b for a, b in zip(lam2, mu))
-            den = sum(ci * di * li for ci, di, li in zip(cmu, d, lam_mu))
-            if (2 * num) % den:
-                raise AssertionError("Freudenthal division failed")
-            mult[mu] = (2 * num) // den
-            coords[mu] = cmu
-            layer.append(mu)
-    assert sum(mult.values()) == weyl_dimension(rs, lam)
+            for alpha, alab, _ in roots:
+                x = tuple([m - a for m, a in zip(mu, alab)])
+                if x not in coords and dominant(x):
+                    coords[x] = tuple([c + a for c, a in zip(base, alpha)])
+                    nxt.append(x)
+        layer = nxt
+    lam2 = tuple(x + 2 for x in lam)
+    dom_mult = {lam: 1}
+    for mu in sorted(coords, key=lambda w: sum(coords[w]))[1:]:
+        num = 0
+        for _, alab, cd in roots:
+            x = tuple([m + a for m, a in zip(mu, alab)])
+            while True:
+                mx = dom_mult.get(dominate(rs, x)[0])
+                if mx is None:
+                    break
+                num += mx * sum([ci * xi for ci, xi in zip(cd, x)])
+                x = tuple([m + a for m, a in zip(x, alab)])
+        # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
+        den = sum([ci * di * (l + m) for ci, di, l, m
+                   in zip(coords[mu], d, lam2, mu)])
+        if (2 * num) % den:
+            raise AssertionError("Freudenthal division failed")
+        dom_mult[mu] = (2 * num) // den
+    rows = tuple(enumerate(rs.cartan))
+    mult = {}
+    for mu, m in dom_mult.items():
+        mult[mu] = m
+        layer = [mu]
+        while layer:
+            nxt = []
+            for x in layer:
+                for i, row in rows:
+                    xi = x[i]
+                    if xi > 0:
+                        y = tuple([a - xi * c for a, c in zip(x, row)])
+                        if y not in mult:
+                            mult[y] = m
+                            nxt.append(y)
+            layer = nxt
+    assert sum(mult.values()) == dim
     rs._cache[key] = mult
     return mult
 

@@ -112,8 +112,8 @@ SERIES = (("A", 1), ("A", 2), ("A", 3), ("A", 4),
           ("C", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4))
 
 
-def _small_alcove_cases(cap=60):
-    for s, r in SERIES:
+def _small_alcove_cases(cap=60, series=SERIES):
+    for s, r in series:
         k = 1
         while make_alcove(s, r, k).rank <= cap:
             yield s, r, k
@@ -140,6 +140,22 @@ def test_racah_matches_verlinde_everywhere_small():
             assert np.array_equal(np.rint(approx.real).astype(int), exact), \
                 (s, r, k, i)
     assert worst < 1e-4
+
+
+def test_racah_matches_verlinde_d5_e6():
+    """The same cross-check on D5 and E6 at every level with at most 36
+    simples."""
+    cases = list(_small_alcove_cases(cap=36, series=(("D", 5), ("E", 6))))
+    assert cases == [("D", 5, 1), ("D", 5, 2), ("D", 5, 3),
+                     ("E", 6, 1), ("E", 6, 2), ("E", 6, 3)]
+    for s, r, k in cases:
+        md = ModularData(s, r, k)
+        for i in range(md.rank):
+            approx = md.verlinde_matrix(i)
+            exact = md.fusion.matrix(i)
+            assert float(np.max(np.abs(approx - exact))) < 1e-4, (s, r, k, i)
+            assert np.array_equal(np.rint(approx.real).astype(int), exact), \
+                (s, r, k, i)
 
 
 # --- 4. Gauss-sum phases ----------------------------------------------

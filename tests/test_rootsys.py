@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from wzwcat.alcove import make_alcove
 from wzwcat.rootsys import (
+    DIMENSION_CAP,
     DimensionCapError,
     build_root_system,
     dominate,
@@ -169,6 +173,133 @@ def test_weight_system_weyl_symmetry_random():
         for mu, m in ws.items():
             for i in range(rank):
                 assert ws[rs.simple_reflection(mu, i)] == m
+
+
+def _full_lattice_weight_system(rs, lam):
+    """Reference: Freudenthal over every weight, not only dominant ones.
+
+    Descends from the highest weight one simple-root layer at a time and
+    runs the recursion on each weight met, in exact integer arithmetic.
+    """
+    lam = tuple(lam)
+    n = rs.rank
+    d = rs.d
+    root_data = [(tuple(c * dj for c, dj in zip(alpha, d)), rs.root_labels(alpha))
+                 for alpha in rs.pos_roots]
+    simple_labels = [rs.cartan[i] for i in range(n)]
+    mult = {lam: 1}
+    coords = {lam: (0,) * n}  # coordinates of lam - mu in the root basis
+    lam2 = tuple(x + 2 for x in lam)
+    layer = [lam]
+    while layer:
+        cands = {}
+        for mu in layer:
+            base = coords[mu]
+            for i in range(n):
+                nxt = tuple(m - s for m, s in zip(mu, simple_labels[i]))
+                if nxt not in cands and nxt not in mult:
+                    c = list(base)
+                    c[i] += 1
+                    cands[nxt] = tuple(c)
+        layer = []
+        for mu, cmu in cands.items():
+            num = 0
+            for cd, alab in root_data:
+                x = tuple(m + a for m, a in zip(mu, alab))
+                while x in mult:
+                    num += mult[x] * sum(ci * xi for ci, xi in zip(cd, x))
+                    x = tuple(m + a for m, a in zip(x, alab))
+            if num == 0:
+                continue
+            lam_mu = tuple(a + b for a, b in zip(lam2, mu))
+            den = sum(ci * di * li for ci, di, li in zip(cmu, d, lam_mu))
+            if (2 * num) % den:
+                raise AssertionError("Freudenthal division failed")
+            mult[mu] = (2 * num) // den
+            coords[mu] = cmu
+            layer.append(mu)
+    assert sum(mult.values()) == weyl_dimension(rs, lam)
+    return mult
+
+
+# the highest level with at most 36 simples, per type of the fold sweep
+FOLD_SWEEP_TOP_LEVELS = [
+    ("A", 1, 35), ("A", 2, 7), ("A", 3, 4), ("A", 4, 3), ("B", 2, 7),
+    ("B", 3, 5), ("B", 4, 4), ("C", 3, 4), ("C", 4, 3), ("D", 4, 3),
+    ("D", 5, 3), ("G", 2, 10), ("F", 4, 5), ("E", 6, 3),
+]
+
+
+@pytest.mark.parametrize("series,rank,k", FOLD_SWEEP_TOP_LEVELS)
+def test_weight_system_matches_full_lattice_on_alcove(series, rank, k):
+    alc = make_alcove(series, rank, k)
+    assert alc.rank <= 36 < make_alcove(series, rank, k + 1).rank
+    for lam in alc.weights:
+        assert weight_system(alc.rs, lam) == \
+            _full_lattice_weight_system(alc.rs, lam), lam
+
+
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 7, (1, 0, 0, 0, 0, 0, 1)),
+    ("A", 7, (0, 1, 0, 1, 0, 0, 0)),
+    ("D", 6, (0, 1, 0, 0, 0, 0)),
+    ("D", 6, (1, 0, 0, 0, 1, 0)),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
+    ("E", 7, (1, 0, 0, 0, 0, 0, 0)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)),
+])
+def test_weight_system_matches_full_lattice_beyond_sweep(series, rank, lam):
+    rs = build_root_system(series, rank)
+    assert weight_system(rs, lam) == _full_lattice_weight_system(rs, lam)
+
+
+PROPERTY_TYPES = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5),
+                  ("E", 6), ("F", 4), ("G", 2)]
+
+
+def _under_cap(rs, lam, cap=2000):
+    """lam with its largest labels lowered until dim <= cap."""
+    lam = list(lam)
+    while weyl_dimension(rs, lam) > cap:
+        lam[lam.index(max(lam))] -= 1
+    return tuple(lam)
+
+
+@st.composite
+def _capped_weights(draw):
+    series, rank = draw(st.sampled_from(PROPERTY_TYPES))
+    rs = build_root_system(series, rank)
+    lam = draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank))
+    return rs, _under_cap(rs, lam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_capped_weights())
+def test_weight_system_properties(case):
+    rs, lam = case
+    ws = weight_system(rs, lam)
+    assert sum(ws.values()) == weyl_dimension(rs, lam)
+    for mu, m in ws.items():
+        for i in range(rs.rank):
+            assert ws[rs.simple_reflection(mu, i)] == m
+    orbits = Counter(dominate(rs, mu)[0] for mu in ws)
+    assert all(weyl_group_order(rs) % size == 0 for size in orbits.values())
+
+
+E8 = build_root_system("E", 8)
+
+
+@given(st.lists(st.integers(0, 40), min_size=8, max_size=8))
+def test_weight_system_refuses_oversized_at_once(labels):
+    # dim grows with every label and dim(omega_4) = 6 899 079 264 for E8,
+    # so any weight with lambda_4 >= 1 is over the cap; hypothesis's
+    # deadline (200 ms) fails the test if anything is enumerated first
+    lam = tuple(labels[:3]) + (labels[3] + 1,) + tuple(labels[4:])
+    assert weyl_dimension(E8, lam) > DIMENSION_CAP
+    with pytest.raises(DimensionCapError):
+        weight_system(E8, lam)
+    assert ("wsys", lam) not in E8._cache
 
 
 def test_dominate_and_dual():
