@@ -1,18 +1,16 @@
 """Level-k alcove: simple objects, quantum dimensions, affine folding."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
-from .rootsys import RootSystem, Weight, build_root_system, dual_weight
+import numpy as np
+
+from .rootsys import (RootSystem, Weight, build_root_system, dual_weight,
+                      weyl_dimension)
 
 _FOLD_ITER_CAP = 100_000
-
-
-class FoldResult(NamedTuple):
-    sign: int
-    weight: Optional[Weight]  # None when the orbit meets a wall (sign 0)
 
 
 def qint(n, ell) -> float:
@@ -41,18 +39,26 @@ class Alcove:
     k: int
     weights: tuple = field(init=False)
     index: dict = field(init=False)
-    _fold_cache: dict = field(init=False, default_factory=dict, repr=False)
     _qdim_cache: dict = field(init=False, default_factory=dict, repr=False)
-    _kh: int = field(init=False, repr=False)
-    _theta_labels: Weight = field(init=False, repr=False)
+    # fusion blocks by expanded factor, filled by fusion.fuse_weights
+    _blocks: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("level must be a positive integer")
         self.weights = tuple(self._enumerate())
         self.index = {w: i for i, w in enumerate(self.weights)}
-        self._kh = self.k + self.rs.h_dual
-        self._theta_labels = self.rs.root_labels(self.rs.highest_root)
+        rs = self.rs
+        self._kh = self.k + rs.h_dual
+        self._theta_labels = np.array(rs.root_labels(rs.highest_root))
+        self._comarks = np.array(rs.comarks)
+        self._cartan = np.array(rs.cartan)
+        # mixed-radix codes, label i below k // comark_i + 1: ascending in
+        # the lexicographic order of the weights
+        radix = [self.k // c + 1 for c in rs.comarks]
+        self._place = np.array([math.prod(radix[i + 1:])
+                                for i in range(rs.rank)])
+        self._codes = np.array(self.weights, dtype=np.int64) @ self._place
 
     def _enumerate(self):
         n = self.rs.rank
@@ -95,45 +101,58 @@ class Alcove:
     def dual_index(self, i: int) -> int:
         return self.index[dual_weight(self.rs, self.weights[i])]
 
-    def fold(self, mu: Weight) -> FoldResult:
-        """Shifted affine Weyl fold of mu into the alcove.
+    @functools.cached_property
+    def weyl_dims(self) -> tuple:
+        """Weyl dimension of each weight, by alcove index."""
+        return tuple(weyl_dimension(self.rs, w) for w in self.weights)
 
-        Returns (sign, weight) with sign in {-1, 0, +1}; sign 0 means mu + rho
-        lies on a reflection wall and the term cancels.
+    def fold(self, mu) -> tuple:
+        """Shifted affine Weyl fold of each row of mu into the alcove.
+
+        mu is an (N, rank) int array.  Returns (sign, index), two int64
+        arrays of length N: sign in {-1, 0, +1} and the alcove index of the
+        folded weight, with sign 0 and index -1 where mu + rho lies on a
+        reflection wall and the term cancels.  Each point is reflected in
+        the first negative label, else in the affine wall while its level
+        exceeds k + h_dual, one step per point per round.
         """
-        mu = tuple(int(x) for x in mu)
-        hit = self._fold_cache.get(mu)
-        if hit is not None:
-            return hit
-        rs = self.rs
-        kh = self._kh
-        comarks = rs.comarks
-        theta_labels = self._theta_labels
-        x = tuple(m + 1 for m in mu)
-        sign = 1
+        x = np.array(mu, dtype=np.int64).reshape(-1, self.rs.rank) + 1
+        sign = np.ones(len(x), dtype=np.int64)
+        index = np.full(len(x), -1, dtype=np.int64)
+        kh, theta, comarks, cartan = (self._kh, self._theta_labels,
+                                      self._comarks, self._cartan)
+        todo = np.arange(len(x))
         for _ in range(_FOLD_ITER_CAP):
-            i = next((j for j, v in enumerate(x) if v < 0), None)
-            if i is not None:
-                x = rs.simple_reflection(x, i)
-                sign = -sign
-                continue
-            if 0 in x:
-                res = FoldResult(0, None)
+            if not len(todo):
                 break
-            t = sum(c * v for c, v in zip(comarks, x))
-            if t == kh:
-                res = FoldResult(0, None)
-                break
-            if t > kh:
-                x = tuple(v - (t - kh) * c for v, c in zip(x, theta_labels))
-                sign = -sign
-                continue
-            res = FoldResult(sign, tuple(v - 1 for v in x))
-            break
-        else:
-            raise AssertionError(f"fold did not terminate for {mu}")
-        self._fold_cache[mu] = res
-        return res
+            y = x[todo]
+            neg = y < 0
+            has_neg = neg.any(axis=1)
+            # first negative label: its simple reflection
+            pts = todo[has_neg]
+            i = neg[has_neg].argmax(axis=1)
+            x[pts] -= y[has_neg, i][:, None] * cartan[i]
+            sign[pts] = -sign[pts]
+            # dominant: a wall, the affine reflection, or inside
+            rest, y = todo[~has_neg], y[~has_neg]
+            t = y @ comarks
+            wall = (y == 0).any(axis=1) | (t == kh)
+            sign[rest[wall]] = 0
+            over = ~wall & (t > kh)
+            up = rest[over]
+            x[up] -= (t[over] - kh)[:, None] * theta
+            sign[up] = -sign[up]
+            inside = ~wall & (t < kh)
+            codes = (y[inside] - 1) @ self._place
+            found = np.searchsorted(self._codes, codes)
+            if (self._codes.take(found, mode="clip") != codes).any():
+                raise AssertionError("fold left the alcove")
+            index[rest[inside]] = found
+            todo = np.concatenate([pts, up])
+        if len(todo):
+            stuck = tuple((x[todo[0]] - 1).tolist())
+            raise AssertionError(f"fold did not terminate for {stuck}")
+        return sign, index
 
 
 def make_alcove(series: str, rank: int, k: int) -> Alcove:

@@ -7,10 +7,11 @@ Subcommands
     verify       named check suites (thm1 | witt | all) with range filtering
     fingerprint  Witt-invariant fingerprint, optionally compared to another
 
-Exit codes: 0 ok, 1 check failure, 2 usage, 3 capacity, 4 no nontrivial
-Tannakian subgroup.  Bundles round-trip losslessly: floats are written
-as 17-significant-digit decimals and JSON key order is fixed, so equal
-inputs produce byte-identical output.
+Exit codes: 0 ok, 1 check failure (a verification check, or an internal
+consistency check, reported in one line), 2 usage, 3 capacity, 4 no
+nontrivial Tannakian subgroup.  Bundles round-trip losslessly: floats are
+written as 17-significant-digit decimals and JSON key order is fixed, so
+equal inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -593,6 +594,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as e:     # an internal consistency check failed
+        print(f"internal check failed: {e}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 if __name__ == "__main__":

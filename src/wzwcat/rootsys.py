@@ -330,7 +330,8 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
                             mult[y] = m
                             nxt.append(y)
             layer = nxt
-    assert sum(mult.values()) == dim
+    if sum(mult.values()) != dim:
+        raise AssertionError("multiplicities do not sum to the dimension")
     rs._cache[key] = mult
     return mult
 

@@ -1,8 +1,10 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from wzwcat.alcove import FoldResult, make_alcove, qint
+from wzwcat.alcove import make_alcove, qint
 
 
 def test_alcove_sizes_closed_forms():
@@ -29,22 +31,58 @@ def test_altitude():
     assert make_alcove("F", 4, 2).ell == 22
 
 
+def reference_fold(a, mu):
+    """The scalar fold the array fold replaced: (sign, weight or None)."""
+    rs = a.rs
+    kh = a.k + rs.h_dual
+    comarks = rs.comarks
+    theta_labels = rs.root_labels(rs.highest_root)
+    x = tuple(m + 1 for m in mu)
+    sign = 1
+    for _ in range(100_000):
+        i = next((j for j, v in enumerate(x) if v < 0), None)
+        if i is not None:
+            x = rs.simple_reflection(x, i)
+            sign = -sign
+            continue
+        if 0 in x:
+            return 0, None
+        t = sum(c * v for c, v in zip(comarks, x))
+        if t == kh:
+            return 0, None
+        if t > kh:
+            x = tuple(v - (t - kh) * c for v, c in zip(x, theta_labels))
+            sign = -sign
+            continue
+        return sign, tuple(v - 1 for v in x)
+    raise AssertionError(f"fold did not terminate for {mu}")
+
+
+def fold_all(a, mus):
+    """Array fold of a list of weights, read back as (sign, weight or None)."""
+    sign, index = a.fold(np.array(mus, dtype=np.int64).reshape(-1, a.rs.rank))
+    assert sign.shape == index.shape == (len(mus),)
+    assert ((sign == 0) == (index == -1)).all()
+    return [(int(s), a.weights[i] if s else None) for s, i in zip(sign, index)]
+
+
 def test_fold_examples_a1():
     a = make_alcove("A", 1, 2)
-    assert a.fold((1,)) == FoldResult(1, (1,))
-    assert a.fold((3,)) == FoldResult(0, None)   # on the affine wall
-    assert a.fold((4,)) == FoldResult(-1, (2,))
-    assert a.fold((6,)) == FoldResult(-1, (0,))
-    assert a.fold((-1,)) == FoldResult(0, None)  # on the finite wall
-    assert a.fold((-2,)) == FoldResult(-1, (0,))
+    assert fold_all(a, [(1,), (3,), (4,), (6,), (-1,), (-2,)]) == [
+        (1, (1,)),
+        (0, None),      # on the affine wall
+        (-1, (2,)),
+        (-1, (0,)),
+        (0, None),      # on the finite wall
+        (-1, (0,)),
+    ]
 
 
 def test_fold_b2_walls_and_interior():
     a = make_alcove("B", 2, 2)
-    for w in a.weights:
-        assert a.fold(w) == FoldResult(1, w)
+    assert fold_all(a, a.weights) == [(1, w) for w in a.weights]
     # level(x) = k + h_dual wall: mu + rho = (2, 3) has level 5
-    assert a.fold((1, 2)) == FoldResult(0, None)
+    assert fold_all(a, [(1, 2)]) == [(0, None)]
 
 
 def test_fold_idempotent_on_random_weights():
@@ -52,13 +90,38 @@ def test_fold_idempotent_on_random_weights():
     rng = random.Random(7)
     for series, rank, k in [("A", 2, 3), ("B", 2, 4), ("G", 2, 2), ("C", 3, 2)]:
         a = make_alcove(series, rank, k)
-        for _ in range(200):
-            mu = tuple(rng.randint(-6, 9) for _ in range(rank))
-            sign, w = a.fold(mu)
+        mus = [tuple(rng.randint(-6, 9) for _ in range(rank))
+               for _ in range(200)]
+        for sign, w in fold_all(a, mus):
             assert sign in (-1, 0, 1)
             if sign:
                 assert w in a.index
-                assert a.fold(w) == FoldResult(1, w)
+                assert fold_all(a, [w]) == [(1, w)]
+
+
+# one level of each fold_sweep type; box [-2, k + 2]^rank around the alcove,
+# which holds both kinds of wall (a label -1; level(mu) = k + 1)
+BOX_CASES = [("A", 1, 6), ("A", 2, 4), ("A", 3, 3), ("A", 4, 2), ("B", 2, 4),
+             ("B", 3, 2), ("B", 4, 2), ("C", 3, 2), ("C", 4, 1), ("D", 4, 1),
+             ("D", 5, 1), ("G", 2, 4), ("F", 4, 2), ("E", 6, 1)]
+
+
+@pytest.mark.parametrize("series,rank,k", BOX_CASES)
+def test_fold_matches_scalar_reference_on_box(series, rank, k):
+    a = make_alcove(series, rank, k)
+    box = list(itertools.product(range(-2, k + 3), repeat=rank))
+    got = fold_all(a, box)
+    assert got == [reference_fold(a, mu) for mu in box]
+    signs = {s for s, _ in got}
+    assert signs == {-1, 0, 1}
+
+
+def test_fold_refuses_a_point_that_does_not_terminate(monkeypatch):
+    import wzwcat.alcove
+    a = make_alcove("B", 2, 3)
+    monkeypatch.setattr(wzwcat.alcove, "_FOLD_ITER_CAP", 1)
+    with pytest.raises(AssertionError, match="did not terminate"):
+        a.fold(np.array([[-3, 7]]))
 
 
 def test_qdim_b2_small_levels():

@@ -83,6 +83,20 @@ def test_oversized_smatrix_exits_capacity(capsys):
     assert "capacity exceeded" in capsys.readouterr().err
 
 
+def test_internal_check_failure_exits_one_line():
+    # a fold that may take no step fails its termination check inside the
+    # fold route; the CLI reports it in one line, without a traceback
+    code = ("import sys, wzwcat.alcove, wzwcat.cli; "
+            "wzwcat.alcove._FOLD_ITER_CAP = 0; "
+            "sys.exit(wzwcat.cli.main(['fusion', 'B', '2', '3']))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == cli.EXIT_CHECK
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "fold did not terminate" in proc.stderr
+
+
 def test_usage_errors():
     assert cli.main(["data", "Q", "2", "4"]) == cli.EXIT_USAGE
     assert cli.main(["data", "B", "0", "4"]) == cli.EXIT_USAGE

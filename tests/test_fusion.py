@@ -3,8 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from wzwcat.alcove import make_alcove
+from test_alcove import reference_fold
+from wzwcat import fusion
+from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.fusion import FusionTensor, fuse_weights
+from wzwcat.rootsys import weight_system
 
 
 def test_ising_table_complete():
@@ -94,5 +97,40 @@ def test_fusion_associative_numpy():
 def test_full_table_size():
     a = make_alcove("A", 1, 3)
     ft = FusionTensor(a)
-    table = ft.full_table()
+    table = {(i, j) for i, j, _, _ in ft.triples()}
     assert len(table) == 4 * 5 // 2
+
+
+def test_negative_coefficient_raises(monkeypatch):
+    # folds with every sign flipped leave negative sums, which must raise
+    fold = Alcove.fold
+
+    def flipped(self, mu):
+        sign, index = fold(self, mu)
+        return -sign, index
+
+    monkeypatch.setattr(Alcove, "fold", flipped)
+    a = make_alcove("B", 2, 2)
+    with pytest.raises(AssertionError, match="negative fusion coefficients"):
+        fuse_weights(a, (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("chunk", [fusion.FOLD_CHUNK, 7])
+def test_block_rows_match_scalar_folds(chunk, monkeypatch):
+    # every product read from the cached blocks equals the Kac-Walton sum
+    # over the weight system of either factor, folded one point at a time
+    # by the scalar reference fold; a chunk of 7 points splits blocks into
+    # one partner per group and each partner into several folds
+    monkeypatch.setattr(fusion, "FOLD_CHUNK", chunk)
+    for series, rank, k in [("B", 2, 3), ("G", 2, 3), ("A", 3, 2)]:
+        a = make_alcove(series, rank, k)
+        for x in a.weights:
+            for y in a.weights:
+                direct = {}
+                for nu, mult in weight_system(a.rs, x).items():
+                    sign, w = reference_fold(
+                        a, tuple(g + v for g, v in zip(y, nu)))
+                    if sign:
+                        direct[w] = direct.get(w, 0) + sign * mult
+                direct = {w: c for w, c in direct.items() if c}
+                assert fuse_weights(a, x, y) == direct

@@ -145,7 +145,7 @@ def test_balancing_identity():
     for x in range(n):
         for y in range(n):
             acc = 0.0
-            for z, c in ((z, md.fusion.coeff(x, y, z)) for z in range(n)):
+            for z, c in ((z, md.fusion.row(x, y).get(z, 0)) for z in range(n)):
                 if c:
                     acc += c * th[z] * d[z]
             lhs = acc / (th[x] * th[y])

@@ -39,3 +39,19 @@ def test_smatrix_counts_weyl_terms_once():
     finally:
         tracer.uninstall()
     assert tracer.counts["modular.weyl_terms"] == 8
+
+
+def test_fold_route_counts_rows_and_folds():
+    # each of the 55 rows of B2 k3 (10 simples) is one fuse_weights call, and
+    # the folds run inside it, where the tracer counts them as fold terms
+    tracer = _tracer()
+    try:
+        tracer.install()
+        table = list(ModularData("B", 2, 3).fusion.triples())
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert len({(i, j) for i, j, _, _ in table}) == 55
+    assert metrics["fusion.rows"] == 55
+    assert metrics["fusion.fold_terms"] > 0
+    assert metrics["alcove.fold_calls"] > 0
