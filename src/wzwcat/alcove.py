@@ -58,7 +58,8 @@ class Alcove:
         radix = [self.k // c + 1 for c in rs.comarks]
         self._place = np.array([math.prod(radix[i + 1:])
                                 for i in range(rs.rank)])
-        self._codes = np.array(self.weights, dtype=np.int64) @ self._place
+        self.labels = np.array(self.weights, dtype=np.int64).reshape(-1, rs.rank)
+        self._codes = self.labels @ self._place
 
     def _enumerate(self):
         n = self.rs.rank
@@ -106,6 +107,16 @@ class Alcove:
         """Weyl dimension of each weight, by alcove index."""
         return tuple(weyl_dimension(self.rs, w) for w in self.weights)
 
+    def lookup(self, labels) -> np.ndarray:
+        """Alcove index of each row of labels, an (N, rank) int array of
+        dominant weights of level <= k, by mixed-radix code.  Raises if a
+        code is not an alcove weight's."""
+        codes = labels @ self._place
+        found = np.searchsorted(self._codes, codes)
+        if (self._codes.take(found, mode="clip") != codes).any():
+            raise AssertionError("weight outside the alcove")
+        return found
+
     def fold(self, mu) -> tuple:
         """Shifted affine Weyl fold of each row of mu into the alcove.
 
@@ -143,11 +154,7 @@ class Alcove:
             x[up] -= (t[over] - kh)[:, None] * theta
             sign[up] = -sign[up]
             inside = ~wall & (t < kh)
-            codes = (y[inside] - 1) @ self._place
-            found = np.searchsorted(self._codes, codes)
-            if (self._codes.take(found, mode="clip") != codes).any():
-                raise AssertionError("fold left the alcove")
-            index[rest[inside]] = found
+            index[rest[inside]] = self.lookup(y[inside] - 1)
             todo = np.concatenate([pts, up])
         if len(todo):
             stuck = tuple((x[todo[0]] - 1).tolist())

@@ -1,11 +1,12 @@
-"""Invertible simple objects and their fusion group.
+"""Simple currents of the level-k alcove and their fusion group.
 
-The invertibles of a level-k alcove form a finite abelian group acting on
-all simples by fusion.  Candidates are spotted by quantum dimension 1 and
-then *verified*: the fusion row of each candidate must round to an honest
-permutation of the alcove (Verlinde route), so nothing here relies on
-affine-diagram folklore.  Closed-form actions are used only as cross-checks
-in the test suite.
+A current J = k omega_n, for a node n of mark 1, acts on the alcove by an
+automorphism of the affine Dynkin diagram, J.lambda = k omega_n +
+w0^(n) w0 lambda, where w0 lambda = -lambda* and w0^(n) is the longest
+element of the Levi subgroup without node n.  Every simple current of a
+WZW model is of this kind except the one at E8 level 2 (Fuchs, Simple WZW
+currents, CMP 136, 1991), which takes its action from the fold route.  No
+action reads the S-matrix, and check_action checks each one exactly.
 """
 from __future__ import annotations
 
@@ -15,32 +16,78 @@ from itertools import combinations
 
 import numpy as np
 
-from .modular import ModularData, RationalAngle
-
-_PERM_TOL = 1e-4
+from .modular import POINTED_TOL, ModularData, RationalAngle
 
 
 class NotInvertibleError(ValueError):
     pass
 
 
+def _longest_element(rs, nodes) -> np.ndarray:
+    """Longest element of the Weyl group of the given nodes on Dynkin
+    labels: reflect rho in those nodes until its labels there are < 0."""
+    cartan = np.array(rs.cartan, dtype=np.int64)
+    m = np.eye(rs.rank, dtype=np.int64)
+    while True:
+        x = m.sum(axis=1)                     # m applied to rho
+        i = next((i for i in nodes if x[i] > 0), None)
+        if i is None:
+            return m
+        m -= np.outer(cartan[i], m[i])
+
+
 def current_action(md: ModularData, j: int) -> tuple:
-    """Permutation p with p[i] = index of X_j (x) X_i; error if X_j is not
-    invertible (row fails to round to a permutation matrix)."""
-    v = md.verlinde_matrix(j)
-    rounded = np.rint(v.real).astype(np.int64)
-    if np.max(np.abs(v - rounded)) > _PERM_TOL:
-        raise NotInvertibleError(f"index {j}: fusion row is not integral")
-    n = md.rank
-    perm = [-1] * n
-    for i in range(n):
-        targets = np.nonzero(rounded[i])[0]
-        if len(targets) != 1 or rounded[i, targets[0]] != 1:
-            raise NotInvertibleError(f"index {j}: row {i} not a permutation")
-        perm[i] = int(targets[0])
-    if sorted(perm) != list(range(n)):
-        raise NotInvertibleError(f"index {j}: action not bijective")
-    return tuple(perm)
+    """Permutation p with p[i] = index of X_j (x) X_i; NotInvertibleError
+    if X_j is not a simple current."""
+    rs, k, alc, lam = md.rs, md.k, md.alcove, md.weights[j]
+    node = lam.index(k) if sum(lam) == k and k in lam else None
+    # the unit is the affine node's current: k omega_0 = 0 and w0^(0) = w0
+    if not any(lam) or (node is not None and rs.marks[node] == 1):
+        nodes = range(rs.rank)
+        a = (_longest_element(rs, [i for i in nodes if i != node])
+             @ _longest_element(rs, nodes))
+        image = alc.labels @ a.T
+        if node is not None:
+            image[:, node] += k
+        if (image < 0).any() or (image @ rs.comarks > k).any():
+            raise AssertionError(f"action of index {j} leaves the alcove")
+        perm = alc.lookup(image)
+    elif abs(md.qdims[j] - 1.0) < POINTED_TOL:     # E8 level 2
+        perm = [next(iter(md.fusion.row(j, i))) for i in range(md.rank)]
+    else:
+        raise NotInvertibleError(
+            f"index {j}: quantum dimension {md.qdims[j]:.12g} is not 1")
+    check_action(md, j, perm)
+    return tuple(int(i) for i in perm)
+
+
+def cycle_length(perm) -> int:
+    """Length of the cycle of a permutation through 0: for the action of
+    a current, its order."""
+    n, x = 1, perm[0]
+    while x != 0:
+        x, n = perm[x], n + 1
+    return n
+
+
+def check_action(md: ModularData, j: int, perm) -> None:
+    """AssertionError unless perm is a bijection of the alcove that sends
+    the unit to j, keeps quantum dimensions, and has N Q_J(lambda) integral
+    for every lambda, N the order of J.  Q_J(lambda) = h_J + h_lambda -
+    h_{J lambda} mod 1 is the monodromy charge, from the exact twists."""
+    p = np.asarray(perm, dtype=np.int64)
+    if p[0] != j or not np.array_equal(np.sort(p), np.arange(md.rank)):
+        raise AssertionError(f"action of index {j} is not a bijection "
+                             "sending the unit to it")
+    q = md.qdims
+    gap = float(np.max(np.abs(q[p] - q) / q))
+    if gap >= POINTED_TOL:
+        raise AssertionError(f"action of index {j} changes a quantum "
+                             f"dimension by {gap:.1e} relative")
+    t, period = md.twist_numerators      # h = T / 2P mod 1
+    if (cycle_length(p) * (t[j] + t - t[p]) % (2 * period)).any():
+        raise AssertionError(f"action of index {j} breaks the monodromy "
+                             "charge")
 
 
 def invariant_factors(orders) -> tuple:
@@ -76,8 +123,9 @@ def invariant_factors(orders) -> tuple:
 class CurrentGroup:
     """The group of invertibles with its alcove action.
 
-    ``indices`` always starts with 0 (the unit).  ``actions[j]`` is the
-    fusion permutation of the current with alcove index j.
+    ``indices`` are the simples of quantum dimension 1 and always start
+    with 0 (the unit).  ``actions[j]`` is the fusion permutation of the
+    current with alcove index j.
     """
 
     md: ModularData
@@ -88,26 +136,16 @@ class CurrentGroup:
         self.indices = self.md.pointed_indices
         self.actions = {j: current_action(self.md, j) for j in self.indices}
         assert self.indices[0] == 0
-        for j in self.indices:
-            # closure: J (x) J' must land back in the group
-            for i in self.indices:
-                if self.actions[j][i] not in self.indices:
-                    raise AssertionError("invertibles not closed under fusion")
+        if any(self.actions[j][i] not in self.indices
+               for j in self.indices for i in self.indices):
+            raise AssertionError("invertibles not closed under fusion")
 
     @property
     def order(self) -> int:
         return len(self.indices)
 
-    def product(self, a: int, b: int) -> int:
-        """Alcove index of X_a (x) X_b for group members a, b."""
-        return self.actions[a][b]
-
     def element_order(self, j: int) -> int:
-        n, x = 1, j
-        while x != 0:
-            x = self.product(j, x)
-            n += 1
-        return n
+        return cycle_length(self.actions[j])
 
     def group_id(self) -> tuple:
         """Invariant factors of the group, largest first."""
@@ -123,7 +161,7 @@ class CurrentGroup:
         for r in range(1, len(rest) + 1):
             for extra in combinations(rest, r):
                 sub = (0,) + extra
-                if all(self.product(a, b) in sub for a in sub for b in sub):
+                if all(self.actions[a][b] in sub for a in sub for b in sub):
                     found.add(tuple(sorted(sub)))
         return sorted(found, key=lambda s: (len(s), s))
 
@@ -139,9 +177,7 @@ class CurrentGroup:
 
     def maximal_tannakian(self) -> tuple:
         """Largest Tannakian subgroup; ties broken lexicographically."""
-        cands = self.tannakian_subgroups()
-        best = max(len(s) for s in cands)
-        return min(s for s in cands if len(s) == best)
+        return min(self.tannakian_subgroups(), key=lambda s: (-len(s), s))
 
     def check_tannakian(self, subgroup) -> tuple:
         """subgroup as a sorted index tuple, or ValueError unless it is a
@@ -149,7 +185,7 @@ class CurrentGroup:
         sub = tuple(sorted(subgroup))
         if any(j not in self.indices for j in sub):
             raise ValueError("subgroup contains non-invertible indices")
-        if any(self.product(a, b) not in sub for a in sub for b in sub):
+        if any(self.actions[a][b] not in sub for a in sub for b in sub):
             raise ValueError("subgroup is not closed under fusion")
         bad = [j for j in sub if not self.twist(j).is_trivial]
         if bad:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .currents import CurrentGroup, invariant_factors
+from .currents import CurrentGroup, cycle_length, invariant_factors
 from .modular import POINTED_TOL, ModularData, RationalAngle, gauss_phase
 
 
@@ -140,15 +140,10 @@ class LocalCategoryData:
         each is a simple current, so a product is the orbit rep of the
         current's action on the other rep."""
         rep_of = {x: orb[0] for orb in self.orbits for x in orb}
-        orders = []
-        for i in idxs:
-            r = self.simples[i].rep
-            n, cur = 1, r
-            while cur != 0:
-                cur = rep_of[self.currents.product(cur, r)]
-                n += 1
-            orders.append(n)
-        return invariant_factors(orders)
+        acts = self.currents.actions
+        return invariant_factors(
+            cycle_length([rep_of[x] for x in acts[self.simples[i].rep]])
+            for i in idxs)
 
     def monodromy(self, current_rep: int, simple: LocalSimple) -> RationalAngle:
         """Double-braiding scalar of an invertible free module with a simple,
@@ -181,40 +176,8 @@ class LocalCategoryData:
         """Simples fixed by duality at orbit level; split pieces count with
         their orbit (equal-split convention)."""
         alc = self.md.alcove
-        count = 0
-        for s in self.simples:
-            dual_orbit = tuple(sorted(alc.dual_index(x) for x in s.orbit))
-            if dual_orbit == s.orbit:
-                count += 1
-        return count
-
-    def free_fusion(self, a: int, b: int) -> dict:
-        """Aggregate product of two free modules, {orbit rep: multiplicity}.
-
-        a and b are alcove indices whose H-stabilizers must be trivial.
-        The free-module functor is monoidal, so the multiplicity of the
-        modules over the orbit of nu -- summed across the split pieces
-        when the target orbit has a stabilizer -- is the plain fusion
-        number summed over the orbit, scaled by the stabilizer order.
-        """
-        cg, md = self.currents, self.md
-        for x in (a, b):
-            if cg.stabilizer_order(self.subgroup, x) != 1:
-                raise ValueError(
-                    "free_fusion needs weights with trivial stabilizer")
-        rep_of, stab_of = {}, {}
-        for orb in self.orbits:
-            s = len(self.subgroup) // len(orb)
-            for x in orb:
-                rep_of[x] = orb[0]
-                stab_of[x] = s
-        from .fusion import fuse_weights
-        out = {}
-        prod = fuse_weights(md.alcove, md.weights[a], md.weights[b])
-        for nu, c in prod.items():
-            i = md.alcove.index[nu]
-            out[rep_of[i]] = out.get(rep_of[i], 0) + c * stab_of[i]
-        return {r: c for r, c in sorted(out.items())}
+        return sum(tuple(sorted(alc.dual_index(x) for x in s.orbit)) == s.orbit
+                   for s in self.simples)
 
     def census(self) -> dict:
         """Plain serializable summary."""

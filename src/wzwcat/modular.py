@@ -56,9 +56,12 @@ class RationalAngle:
         return f"RationalAngle({self.t})"
 
 
-def twist_angle(rs, ell: int, lam) -> RationalAngle:
-    """theta_lambda = exp(i pi <lam, lam + 2 rho>/ell), kept exact."""
-    return RationalAngle(Fraction(rs.norm_plus_2rho(tuple(lam)), 1) / ell)
+def integer_form(rs) -> tuple:
+    """(D, G): D the common denominator of the quadratic form
+    <omega_i, omega_j>, G = D times the form as an int64 matrix."""
+    denom = math.lcm(*(f.denominator for row in rs.quad_form for f in row))
+    return denom, np.array([[int(f * denom) for f in row]
+                            for row in rs.quad_form], dtype=np.int64)
 
 
 def central_charge(rs, k: int) -> Fraction:
@@ -141,9 +144,18 @@ class ModularData:
         return float(np.sum(self.qdims ** 2))
 
     @cached_property
+    def twist_numerators(self) -> tuple:
+        """(T, P) with theta_lambda = exp(i pi T_lambda / P) exactly:
+        T_lambda = D <lambda, lambda + 2 rho> as an int64 array by alcove
+        index, and P = D ell, for D and G = D <., .> from integer_form."""
+        denom, gram = integer_form(self.rs)
+        x = self.alcove.labels
+        return ((x @ gram) * (x + 2)).sum(axis=1), denom * self.alcove.ell
+
+    @cached_property
     def twists(self) -> tuple:
-        ell = self.alcove.ell
-        return tuple(twist_angle(self.rs, ell, w) for w in self.weights)
+        nums, period = self.twist_numerators
+        return tuple(RationalAngle(Fraction(int(t), period)) for t in nums)
 
     @cached_property
     def pointed_indices(self) -> tuple:
@@ -178,9 +190,8 @@ class ModularData:
                 f"terms (|W| = {order}), over the caps {SMATRIX_TERM_CAP} "
                 f"terms and |W| {WEYL_GROUP_CAP}")
         mats, signs = _weyl_matrices(rs, weyl_orbit_signs(rs, rs.rho))
-        denom = math.lcm(*(f.denominator for row in rs.quad_form for f in row))
-        gram = np.array([[float(f * denom) for f in row]
-                         for row in rs.quad_form])
+        denom, gram = integer_form(rs)
+        gram = gram.astype(np.float64)
         period = denom * self.alcove.ell
         roots = np.exp(-2j * math.pi / period * np.arange(period))
         x = np.array(self.weights, dtype=np.float64) + 1
@@ -216,14 +227,6 @@ class ModularData:
     def smatrix_unitarity_residual(self) -> float:
         s = self.smatrix
         return float(np.max(np.abs(s @ s.conj().T - np.eye(self.rank))))
-
-    @cached_property
-    def charge_conjugation(self) -> np.ndarray:
-        """Permutation matrix C = S^2 sending each object to its dual."""
-        c = np.zeros((self.rank, self.rank), dtype=np.int64)
-        for i in range(self.rank):
-            c[i, self.alcove.dual_index(i)] = 1
-        return c
 
     def verlinde_matrix(self, i: int) -> np.ndarray:
         s = self.smatrix

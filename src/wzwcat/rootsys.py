@@ -163,17 +163,6 @@ class RootSystem:
         d = self.d
         return sum(root[j] * labels[j] * d[j] for j in range(self.rank))
 
-    def inner(self, a: Weight, b: Weight) -> Fraction:
-        f = self.quad_form
-        n = self.rank
-        return sum(Fraction(a[i]) * f[i][j] * b[j]
-                   for i in range(n) for j in range(n) if a[i] and b[j])
-
-    def norm_plus_2rho(self, lam: Weight) -> Fraction:
-        """<lambda, lambda + 2 rho>, the twist numerator."""
-        shifted = tuple(x + 2 for x in lam)
-        return self.inner(lam, shifted)
-
     def level(self, lam: Weight) -> int:
         return sum(c * x for c, x in zip(self.comarks, lam))
 

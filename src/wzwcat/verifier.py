@@ -479,8 +479,6 @@ def enumerate_fusion_subcategories(ft: FusionTensor,
 
 
 def self_dual_count(data) -> int:
-    """Simples fixed by duality, for ambient or local data."""
-    if isinstance(data, LocalCategoryData):
-        return data.self_dual_count()
+    """Simples fixed by duality of a ModularData or an Alcove."""
     alc = data.alcove if isinstance(data, ModularData) else data
     return sum(1 for i in range(alc.rank) if alc.dual_index(i) == i)

@@ -89,7 +89,8 @@ def fingerprint(data, label: str | None = None) -> WittFingerprint:
         charge_exponent=md.charge_angle().t,
         dim_multiset=tuple(sorted(float(q) for q in data.qdims)),
         twist_multiset=tuple(sorted(a.t for a in data.twists)),
-        self_dual_count=self_dual_count(data),
+        self_dual_count=data.self_dual_count() if local
+        else self_dual_count(data),
         pointed_rank=len(data.pointed_indices),
         multiplicity_free=None if local else data.fusion.is_multiplicity_free())
 

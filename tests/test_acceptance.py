@@ -120,42 +120,59 @@ def _small_alcove_cases(cap=60, series=SERIES):
             k += 1
 
 
+def _permutation_matrix(perm):
+    m = np.zeros((len(perm), len(perm)), dtype=int)
+    m[np.arange(len(perm)), perm] = 1
+    return m
+
+
 def test_racah_matches_verlinde_everywhere_small():
     """Weight-system folding vs the S-matrix route, entry by entry.
 
     Over every (series, rank, level) with at most 60 simples the rounded
     Verlinde matrix must reproduce the folded fusion rules exactly, with
-    pre-rounding residual under 1e-4.
+    pre-rounding residual under 1e-4.  The row of each simple current must
+    also be the permutation of its affine Dynkin diagram action.
     """
     cases = list(_small_alcove_cases())
     assert len(cases) == 128
     worst = 0.0
     for s, r, k in cases:
         md = ModularData(s, r, k)
+        actions = CurrentGroup(md).actions
         for i in range(md.rank):
             approx = md.verlinde_matrix(i)
             exact = md.fusion.matrix(i)
             resid = float(np.max(np.abs(approx - exact)))
             worst = max(worst, resid)
-            assert np.array_equal(np.rint(approx.real).astype(int), exact), \
-                (s, r, k, i)
+            rounded = np.rint(approx.real).astype(int)
+            assert np.array_equal(rounded, exact), (s, r, k, i)
+            if i in md.pointed_indices:
+                assert np.array_equal(rounded,
+                                      _permutation_matrix(actions[i])), \
+                    (s, r, k, i)
     assert worst < 1e-4
 
 
 def test_racah_matches_verlinde_d5_e6():
-    """The same cross-check on D5 and E6 at every level with at most 36
-    simples."""
+    """The same cross-check, current actions included, on D5 and E6 at
+    every level with at most 36 simples."""
     cases = list(_small_alcove_cases(cap=36, series=(("D", 5), ("E", 6))))
     assert cases == [("D", 5, 1), ("D", 5, 2), ("D", 5, 3),
                      ("E", 6, 1), ("E", 6, 2), ("E", 6, 3)]
     for s, r, k in cases:
         md = ModularData(s, r, k)
+        actions = CurrentGroup(md).actions
         for i in range(md.rank):
             approx = md.verlinde_matrix(i)
             exact = md.fusion.matrix(i)
             assert float(np.max(np.abs(approx - exact))) < 1e-4, (s, r, k, i)
-            assert np.array_equal(np.rint(approx.real).astype(int), exact), \
-                (s, r, k, i)
+            rounded = np.rint(approx.real).astype(int)
+            assert np.array_equal(rounded, exact), (s, r, k, i)
+            if i in md.pointed_indices:
+                assert np.array_equal(rounded,
+                                      _permutation_matrix(actions[i])), \
+                    (s, r, k, i)
 
 
 # --- 4. Gauss-sum phases ----------------------------------------------

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -78,9 +79,31 @@ def test_oversized_smatrix_exits_capacity(capsys):
     # A7 level 8 has 6435 simples, under the alcove cap, but its S-matrix
     # sums 40320 * 6435 * 6436 / 2 Weyl terms; refused before any of it
     t0 = time.perf_counter()
-    assert cli.main(["local", "A", "7", "8"]) == cli.EXIT_CAPACITY
+    assert cli.main(["data", "A", "7", "8", "--format", "json"]) \
+        == cli.EXIT_CAPACITY
     assert time.perf_counter() - t0 < 10
     assert "capacity exceeded" in capsys.readouterr().err
+
+
+def test_local_census_needs_no_smatrix(capsys):
+    # the currents of A7 level 8 are J^m = 8 omega_m, of order N = 8, with
+    # h_{J^m} = k m (N - m) / (2N); the largest subgroup with every h
+    # integral is the Tannakian one
+    k, n = 8, 8
+    h = {m: Fraction(k * m * (n - m), 2 * n) for m in range(n)}
+    order = max(n // d for d in range(1, n + 1) if n % d == 0
+                and all(h[m].denominator == 1 for m in range(0, n, d)))
+    assert order == 4
+    assert cli.main(["local", "A", "7", "8"]) == cli.EXIT_OK
+    assert f"(order {order})" in capsys.readouterr().out
+
+
+def test_e8_level2_current_is_not_tannakian():
+    # the one current of E8 level 2 has h = 3/2 (the Ising fermion), so
+    # no nontrivial subgroup has every twist 1
+    h = Fraction(3, 2)
+    want = cli.EXIT_OK if h.denominator == 1 else cli.EXIT_NO_SUBGROUP
+    assert cli.main(["local", "E", "8", "2"]) == want
 
 
 def test_internal_check_failure_exits_one_line():

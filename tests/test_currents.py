@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wzwcat.currents import (CurrentGroup, NotInvertibleError, current_action,
-                             invariant_factors)
+from wzwcat.currents import (CurrentGroup, NotInvertibleError, check_action,
+                             current_action, invariant_factors)
 from wzwcat.modular import ModularData
 
 
@@ -117,6 +117,42 @@ def test_noninvertible_rejected():
     md = ModularData("A", 1, 2)
     with pytest.raises(NotInvertibleError):
         current_action(md, 1)  # the Ising sigma row is not a permutation
+
+
+def test_e8_level2_current_is_not_a_diagram_automorphism():
+    # E8 has no node of mark 1, so its level-2 current omega_1 (h = 3/2,
+    # the Ising fermion of E8 level 2) takes its action from the fold
+    # route: it exchanges the unit and itself and fixes sigma = omega_8
+    md = ModularData("E", 8, 2)
+    assert 1 not in md.rs.marks
+    unit, psi = 0, _index(md, (1,) + (0,) * 7)
+    sigma = _index(md, (0,) * 7 + (1,))
+    cg = CurrentGroup(md)
+    assert cg.indices == (unit, psi)
+    assert cg.actions[psi][unit] == psi and cg.actions[psi][psi] == unit
+    assert cg.actions[psi][sigma] == sigma
+    assert cg.twist(psi).t == Fraction(1)      # theta = exp(2 pi i 3/2)
+
+
+def test_swapped_images_fail_the_exact_check():
+    md = ModularData("A", 3, 4)
+    j = _index(md, (0, 0, 4))
+    perm = list(CurrentGroup(md).actions[j])
+    check_action(md, j, perm)
+    # J and J^3 have equal quantum dimension; with their images swapped
+    # the action has order 2, and 2 Q_J is not integral
+    a, b = j, _index(md, (4, 0, 0))
+    assert md.qdims[perm[a]] == pytest.approx(md.qdims[perm[b]])
+    swapped = list(perm)
+    swapped[a], swapped[b] = perm[b], perm[a]
+    with pytest.raises(AssertionError, match="monodromy charge"):
+        check_action(md, j, swapped)
+    # two images of different quantum dimension
+    swapped = list(perm)
+    swapped[1], swapped[2] = perm[2], perm[1]
+    assert md.qdims[perm[1]] != pytest.approx(md.qdims[perm[2]])
+    with pytest.raises(AssertionError, match="quantum dimension"):
+        check_action(md, j, swapped)
 
 
 def _element_orders(moduli):

@@ -2,10 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wzwcat.alcove import make_alcove
+from wzwcat.modular import integer_form
 from wzwcat.rootsys import (
     DIMENSION_CAP,
     DimensionCapError,
@@ -69,7 +71,9 @@ def test_b2_quad_form_values():
     assert rs.quad_form == ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
     assert rs.d == (2, 1)
     assert rs.comarks == (1, 1)
-    assert rs.norm_plus_2rho((0, 2)) == 12  # spinor-type weight at level 2
+    # <lambda, lambda + 2 rho> = 12 for the spinor-type weight at level 2
+    denom, gram = integer_form(rs)
+    assert (0, 2) @ gram @ np.array((2, 4)) == 12 * denom
 
 
 def test_a3_quad_form_values():

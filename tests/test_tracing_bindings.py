@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import wzwcat.currents
+from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +56,19 @@ def test_fold_route_counts_rows_and_folds():
     assert metrics["fusion.rows"] == 55
     assert metrics["fusion.fold_terms"] > 0
     assert metrics["alcove.fold_calls"] > 0
+
+
+def test_local_census_builds_no_smatrix():
+    # the four currents of A3 level 4 act by affine Dynkin diagram
+    # automorphisms: no Weyl sum, no Verlinde matrix, no fusion row
+    tracer = _tracer()
+    try:
+        tracer.install()
+        LocalCategoryData(ModularData("A", 3, 4))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["currents.current_action_calls"] == 4
+    assert metrics["modular.weyl_terms"] == 0
+    assert metrics["modular.verlinde_matrix_calls"] == 0
+    assert metrics["fusion.rows"] == 0
