@@ -1,7 +1,7 @@
 """Modular data of affine fusion categories and their local-module censuses."""
 
-from .rootsys import RootSystem, build_root_system, weyl_dimension, weight_system
-from .alcove import Alcove, make_alcove, quantum_dimension
+from .rootsys import RootSystem, build_root_system, weight_system, weyl_dimensions
+from .alcove import Alcove, make_alcove, quantum_dimensions
 from .modular import ModularData, RationalAngle
 from .fusion import FusionTensor, fuse_weights
 from .currents import CurrentGroup
@@ -17,11 +17,11 @@ from .wittlab import WittFingerprint, coincidence_test, fingerprint
 __all__ = [
     "RootSystem",
     "build_root_system",
-    "weyl_dimension",
+    "weyl_dimensions",
     "weight_system",
     "Alcove",
     "make_alcove",
-    "quantum_dimension",
+    "quantum_dimensions",
     "ModularData",
     "RationalAngle",
     "FusionTensor",

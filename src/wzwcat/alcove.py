@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rootsys import (RootSystem, Weight, build_root_system, dual_weight,
-                      weyl_dimension)
+from .rootsys import (RootSystem, build_root_system, longest_element,
+                      weyl_dimensions)
 
 _FOLD_ITER_CAP = 100_000
 
@@ -18,18 +18,26 @@ def qint(n, ell) -> float:
     return math.sin(math.pi * n / ell) / math.sin(math.pi / ell)
 
 
-def quantum_dimension(rs: RootSystem, k: int, lam: Weight) -> float:
-    """q-Weyl dimension of lam at level k, no alcove enumeration needed.
+def quantum_dimensions(rs: RootSystem, k: int, labels) -> np.ndarray:
+    """q-Weyl dimension at level k of each row of labels, an (N, rank) int
+    array of dominant weights of level <= k; no alcove enumeration needed.
 
     Product over positive roots of [<lam+rho, alpha>]/[<rho, alpha>] at
-    altitude lacing*(k + h_dual).  Valid for any dominant lam of level <= k.
+    altitude lacing*(k + h_dual), multiplied and divided root by root in
+    the order of rs.pos_roots, from one table of qint values.
     """
     ell = rs.lacing * (k + rs.h_dual)
-    shifted = tuple(x + 1 for x in lam)
-    val = 1.0
-    for alpha in rs.pos_roots:
-        val *= qint(rs.pairing(shifted, alpha), ell)
-        val /= qint(rs.pairing(rs.rho, alpha), ell)
+    p = rs.pairing_matrix
+    x = (np.asarray(labels, dtype=np.int64).reshape(-1, rs.rank) + 1) @ p
+    rho = p.sum(axis=0)                 # rho has every label 1
+    if (x < 1).any():
+        raise ValueError("quantum dimensions want dominant weights")
+    top = int(x.max(initial=rho.max()))
+    table = np.array([qint(n, ell) for n in range(top + 1)])
+    val = np.ones(len(x))
+    for a in range(p.shape[1]):
+        val *= table[x[:, a]]
+        val /= table[rho[a]]
     return val
 
 
@@ -39,7 +47,6 @@ class Alcove:
     k: int
     weights: tuple = field(init=False)
     index: dict = field(init=False)
-    _qdim_cache: dict = field(init=False, default_factory=dict, repr=False)
     # fusion blocks by expanded factor, filled by fusion.fuse_weights
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -87,25 +94,21 @@ class Alcove:
     def rank(self) -> int:
         return len(self.weights)
 
-    def qdim(self, lam: Weight) -> float:
-        lam = tuple(lam)
-        if lam not in self._qdim_cache:
-            self._qdim_cache[lam] = quantum_dimension(self.rs, self.k, lam)
-        return self._qdim_cache[lam]
-
-    def qdims(self):
-        return [self.qdim(w) for w in self.weights]
-
-    def global_dim(self) -> float:
-        return sum(self.qdim(w) ** 2 for w in self.weights)
-
-    def dual_index(self, i: int) -> int:
-        return self.index[dual_weight(self.rs, self.weights[i])]
+    @functools.cached_property
+    def qdims(self) -> np.ndarray:
+        """Quantum dimension of each weight, by alcove index."""
+        return quantum_dimensions(self.rs, self.k, self.labels)
 
     @functools.cached_property
-    def weyl_dims(self) -> tuple:
+    def duals(self) -> np.ndarray:
+        """Alcove index of the dual -w0 lambda of each weight."""
+        w0 = longest_element(self.rs, range(self.rs.rank))
+        return self.lookup(-self.labels @ w0.T)
+
+    @functools.cached_property
+    def weyl_dims(self) -> list:
         """Weyl dimension of each weight, by alcove index."""
-        return tuple(weyl_dimension(self.rs, w) for w in self.weights)
+        return weyl_dimensions(self.rs, self.labels)
 
     def lookup(self, labels) -> np.ndarray:
         """Alcove index of each row of labels, an (N, rank) int array of

@@ -48,6 +48,8 @@ def count_alcove(series: str, rank: int, k: int) -> int:
     """Number of level-<=k dominant weights, by coin-change DP (no
     enumeration, so the capacity gate itself is cheap)."""
     rs = build_root_system(series, rank)
+    if k < 1:
+        raise ValueError("level must be a positive integer")
     ways = [0] * (k + 1)
     ways[0] = 1
     for c in rs.comarks:
@@ -187,7 +189,7 @@ def _label_str(w) -> str:
 
 
 def _capacity_gate(ns) -> int | None:
-    limit = getattr(ns, "max_alcove", None) or DEFAULT_MAX_ALCOVE
+    limit = ns.max_alcove
     n = count_alcove(ns.series, ns.rank, ns.k)
     if n > limit:
         print(f"alcove has {n} weights, over the cap {limit}",

@@ -17,23 +17,11 @@ from itertools import combinations
 import numpy as np
 
 from .modular import POINTED_TOL, ModularData, RationalAngle
+from .rootsys import longest_element
 
 
 class NotInvertibleError(ValueError):
     pass
-
-
-def _longest_element(rs, nodes) -> np.ndarray:
-    """Longest element of the Weyl group of the given nodes on Dynkin
-    labels: reflect rho in those nodes until its labels there are < 0."""
-    cartan = np.array(rs.cartan, dtype=np.int64)
-    m = np.eye(rs.rank, dtype=np.int64)
-    while True:
-        x = m.sum(axis=1)                     # m applied to rho
-        i = next((i for i in nodes if x[i] > 0), None)
-        if i is None:
-            return m
-        m -= np.outer(cartan[i], m[i])
 
 
 def current_action(md: ModularData, j: int) -> tuple:
@@ -44,8 +32,8 @@ def current_action(md: ModularData, j: int) -> tuple:
     # the unit is the affine node's current: k omega_0 = 0 and w0^(0) = w0
     if not any(lam) or (node is not None and rs.marks[node] == 1):
         nodes = range(rs.rank)
-        a = (_longest_element(rs, [i for i in nodes if i != node])
-             @ _longest_element(rs, nodes))
+        a = (longest_element(rs, [i for i in nodes if i != node])
+             @ longest_element(rs, nodes))
         image = alc.labels @ a.T
         if node is not None:
             image[:, node] += k

@@ -175,8 +175,8 @@ class LocalCategoryData:
     def self_dual_count(self) -> int:
         """Simples fixed by duality at orbit level; split pieces count with
         their orbit (equal-split convention)."""
-        alc = self.md.alcove
-        return sum(tuple(sorted(alc.dual_index(x) for x in s.orbit)) == s.orbit
+        duals = self.md.alcove.duals
+        return sum(tuple(sorted(duals[list(s.orbit)].tolist())) == s.orbit
                    for s in self.simples)
 
     def census(self) -> dict:

@@ -135,9 +135,9 @@ class ModularData:
     def weights(self):
         return self.alcove.weights
 
-    @cached_property
+    @property
     def qdims(self) -> np.ndarray:
-        return np.array(self.alcove.qdims())
+        return self.alcove.qdims
 
     @cached_property
     def global_dim(self) -> float:

@@ -8,13 +8,17 @@ squared length 2; ``d[i]`` is half the squared length of the simple root
 The Cartan matrix convention is ``a[i][j] = <alpha_i, alpha_j^vee>``.  With
 that choice the Dynkin labels of a root ``sum_j c_j alpha_j`` are
 ``sum_j c_j a[j][i]`` and the pairing of a weight with a root is the integer
-``sum_j c_j * lambda_j * d_j``.
+``sum_j c_j * lambda_j * d_j``: for every positive root at once, the row
+``lambda @ pairing_matrix``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 Weight = tuple  # Dynkin labels, ints
 Root = tuple    # simple-root coordinates, ints
@@ -158,10 +162,12 @@ class RootSystem:
         return tuple(sum(root[j] * a[j][i] for j in range(self.rank))
                      for i in range(self.rank))
 
-    def pairing(self, labels: Weight, root: Root):
-        """<lambda, alpha> for a weight and a root; integer on integer labels."""
-        d = self.d
-        return sum(root[j] * labels[j] * d[j] for j in range(self.rank))
+    @functools.cached_property
+    def pairing_matrix(self) -> np.ndarray:
+        """P[i, a] = alpha_a[i] d_i as int64, rank x |pos_roots|, so that
+        <lambda, alpha_a> = (lambda @ P)[a] for Dynkin labels lambda."""
+        return np.array(self.pos_roots, dtype=np.int64).T * np.array(
+            self.d, dtype=np.int64)[:, None]
 
     def level(self, lam: Weight) -> int:
         return sum(c * x for c, x in zip(self.comarks, lam))
@@ -207,16 +213,31 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     )
 
 
-def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    num = 1
-    den = 1
-    shifted = tuple(x + 1 for x in lam)
-    for alpha in rs.pos_roots:
-        num *= rs.pairing(shifted, alpha)
-        den *= rs.pairing(rs.rho, alpha)
-    if num % den:
+def weyl_dimensions(rs: RootSystem, labels) -> list:
+    """Weyl dimension of each row of labels, an (N, rank) int array of
+    dominant weights: prod <lambda + rho, alpha> / prod <rho, alpha> over
+    the positive roots, in exact Python ints (E8 products overflow int64)."""
+    p = rs.pairing_matrix
+    den = math.prod(p.sum(axis=0).tolist())
+    x = np.asarray(labels, dtype=np.int64).reshape(-1, rs.rank) + 1
+    nums = [math.prod(row) for row in (x @ p).tolist()]
+    if any(num % den for num in nums):
         raise AssertionError("Weyl dimension not integral")
-    return num // den
+    return [num // den for num in nums]
+
+
+def longest_element(rs: RootSystem, nodes) -> np.ndarray:
+    """Longest element of the Weyl group of the given nodes on Dynkin
+    labels: reflect rho in those nodes until its labels there are < 0.
+    Over all nodes it is w0, and -w0 lambda is the dual of lambda."""
+    cartan = np.array(rs.cartan, dtype=np.int64)
+    m = np.eye(rs.rank, dtype=np.int64)
+    while True:
+        x = m.sum(axis=1)                     # m applied to rho
+        i = next((i for i in nodes if x[i] > 0), None)
+        if i is None:
+            return m
+        m -= np.outer(cartan[i], m[i])
 
 
 def dominant(lam: Weight) -> bool:
@@ -233,13 +254,6 @@ def dominate(rs: RootSystem, w: Weight):
             return w, sign
         w = rs.simple_reflection(w, i)
         sign = -sign
-
-
-def dual_weight(rs: RootSystem, lam: Weight) -> Weight:
-    """Highest weight of the dual representation, -w0(lambda)."""
-    neg = tuple(-x for x in lam)
-    w, _ = dominate(rs, neg)
-    return w
 
 
 def weight_system(rs: RootSystem, lam: Weight) -> dict:
@@ -263,15 +277,14 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     key = ("wsys", lam)
     if key in rs._cache:
         return rs._cache[key]
-    dim = weyl_dimension(rs, lam)
+    (dim,) = weyl_dimensions(rs, [lam])
     if dim > DIMENSION_CAP:
         raise DimensionCapError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
     d = rs.d
     # each positive root in the root basis, as Dynkin labels, and as the
     # coefficients cd of its pairing <x, alpha> = sum(cd * x)
-    roots = [(alpha, rs.root_labels(alpha),
-              tuple([c * dj for c, dj in zip(alpha, d)]))
-             for alpha in rs.pos_roots]
+    roots = [(alpha, rs.root_labels(alpha), cd) for alpha, cd
+             in zip(rs.pos_roots, rs.pairing_matrix.T.tolist())]
     # dominant weights mu <= lam, with the root coordinates of lam - mu
     coords = {lam: (0,) * rs.rank}
     layer = [lam]

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alcove import make_alcove, qint, quantum_dimension
+from .alcove import make_alcove, qint, quantum_dimensions
 from .currents import CurrentGroup
 from .fusion import FusionTensor
 from .localmods import LocalCategoryData
@@ -166,27 +166,20 @@ def check_typeA_nonfree_minimum(n: int, k: int) -> dict:
     """
     if n < 2 or k < 1:
         raise ValueError("non-free minimum wants n >= 2 and k >= 1")
-    rs = build_root_system("A", n - 1)
-    ell = k + n
-    best = None
-    count = 0
-    for p in range(1, n):
-        if n % p or k * p % n:
-            continue
-        for pat in _compositions(k * p // n, p):
-            lam = tuple(pat[j % p] for j in range(1, n))
-            count += 1
-            d = quantum_dimension(rs, k, lam)
-            if best is None or d < best[0]:
-                best = (d, lam)
-    vec = qint(n, ell)
-    out = {"n": n, "k": k, "candidates": count,
+    lams = [tuple(pat[j % p] for j in range(1, n))
+            for p in range(1, n) if n % p == 0 and k * p % n == 0
+            for pat in _compositions(k * p // n, p)]
+    vec = qint(n, k + n)
+    out = {"n": n, "k": k, "candidates": len(lams),
            "threshold": n * vec, "vector_dim": vec}
-    if best is None:
+    if not lams:
         out.update(min_dim=None, min_weight=None, ratio=None, passed=True)
     else:
-        out.update(min_dim=best[0], min_weight=best[1],
-                   ratio=best[0] / vec, passed=best[0] / vec > n)
+        dims = quantum_dimensions(build_root_system("A", n - 1), k, lams)
+        best = int(dims.argmin())       # the first of equal minima
+        d = float(dims[best])
+        out.update(min_dim=d, min_weight=lams[best],
+                   ratio=d / vec, passed=d / vec > n)
     return out
 
 
@@ -198,7 +191,7 @@ def check_typeB_threshold(n: int, k: int) -> dict:
     """
     rs = build_root_system("B", n)
     beta = _omega(n, 1)
-    d = quantum_dimension(rs, k, beta)
+    d = float(quantum_dimensions(rs, k, [beta])[0])
     bracket = qint(2 * n, k + rs.h_dual) + 1.0
     return {"n": n, "k": k, "beta": beta, "dim_beta": d,
             "bracket_form": bracket,
@@ -217,12 +210,9 @@ def check_typeC_threshold(n: int, k: int) -> dict:
         raise ValueError("type C threshold wants n >= 3")
     rs = build_root_system("C", n)
     beta = _omega(n, 2)
-    dim_beta = quantum_dimension(rs, k, beta)
-    dim_mid = None
-    cands = [dim_beta]
-    if n % 2 == 0:
-        dim_mid = quantum_dimension(rs, k, _omega(n, n // 2, k))
-        cands.append(dim_mid)
+    lams = [beta] + ([_omega(n, n // 2, k)] if n % 2 == 0 else [])
+    cands = quantum_dimensions(rs, k, lams).tolist()
+    dim_beta, dim_mid = (cands + [None])[:2]
     m = min(cands)
     return {"n": n, "k": k, "beta": beta, "dim_beta": dim_beta,
             "dim_corner_mid": dim_mid, "candidate_min": m,
@@ -240,15 +230,13 @@ def check_typeD_threshold(n: int, k: int) -> dict:
         raise ValueError("type D threshold wants n >= 4")
     rs = build_root_system("D", n)
     beta = rs.root_labels(rs.highest_root)
-    dim_beta = quantum_dimension(rs, k, beta)
-    dhv = dhs = None
-    cands = [dim_beta]
+    lams = [beta]
     if k % 2 == 0:
-        dhv = quantum_dimension(rs, k, _omega(n, 1, k // 2))
-        cands.append(dhv)
+        lams.append(_omega(n, 1, k // 2))
         if n % 2 == 0:
-            dhs = quantum_dimension(rs, k, _omega(n, n - 1, k // 2))
-            cands.append(dhs)
+            lams.append(_omega(n, n - 1, k // 2))
+    cands = quantum_dimensions(rs, k, lams).tolist()
+    dim_beta, dhv, dhs = (cands + [None, None])[:3]
     m = min(cands)
     return {"n": n, "k": k, "beta": beta, "dim_beta": dim_beta,
             "dim_half_vector": dhv, "dim_half_spinor": dhs,
@@ -282,7 +270,7 @@ def check_E_series_thresholds(series: str, scan_limit: int = 150) -> dict:
     rs = build_root_system("E", rank)
 
     def classical_pass(k):
-        d = quantum_dimension(rs, k, probe)
+        d = float(quantum_dimensions(rs, k, [probe])[0])
         return d * d > center ** 2 * classical
 
     scan, first_level = [], None
@@ -293,15 +281,15 @@ def check_E_series_thresholds(series: str, scan_limit: int = 150) -> dict:
             first_level = k
     onset_any_k = next(
         (k for k in range(1, scan_limit + 1) if classical_pass(k)), None)
-    direct = tuple(
-        (k, quantum_dimension(rs, k, probe) ** 2
-         > center ** 2 * quantum_dimension(rs, k, adjoint))
-        for k in direct_levels)
+    direct = []
+    for k in direct_levels:
+        dp, da = quantum_dimensions(rs, k, [probe, adjoint]).tolist()
+        direct.append((k, dp ** 2 > center ** 2 * da))
     return {"series": series, "center_order": center,
             "probe": probe, "adjoint": adjoint,
             "classical_adjoint_dim": classical,
             "first_level": first_level, "onset_any_k": onset_any_k,
-            "scan": tuple(scan), "direct_window": direct}
+            "scan": tuple(scan), "direct_window": tuple(direct)}
 
 
 def check_global_dim_identity(n: int, perturb: float = 0.0) -> dict:
@@ -319,14 +307,13 @@ def check_global_dim_identity(n: int, perturb: float = 0.0) -> dict:
     """
     if n < 2:
         raise ValueError("identity check wants n >= 2")
-    alc = make_alcove("B", n, 4)
-    g = alc.global_dim()
+    g = ModularData("B", n, 4).global_dim
     big_n = 2 * n + 3
     csc4 = 1.0 / math.sin(math.pi / (big_n + perturb)) ** 4
     rhs = (big_n * big_n / 4.0) * csc4
     residual = abs(g - rhs) / rhs
-    a1 = make_alcove("A", 1, 2 * n + 1)
-    ad_dim = sum(a1.qdim((j,)) ** 2 for j in range(0, 2 * n + 2, 2))
+    # A1 weights (j,) sit at alcove index j: the even ones
+    ad_dim = float((make_alcove("A", 1, 2 * n + 1).qdims[::2] ** 2).sum())
     local_residual = abs(g / 4.0 - ad_dim ** 2) / ad_dim ** 2
     return {"n": n, "N": big_n, "global_dim": g, "closed_form": rhs,
             "residual": residual,
@@ -409,13 +396,13 @@ class SubcatLattice:
 
 def _closure(ft: FusionTensor, seed) -> tuple:
     """Smallest unit-containing, dual- and fusion-closed superset."""
-    alc = ft.alcove
+    duals = ft.alcove.duals.tolist()
     members = {0} | set(seed)
     changed = True
     while changed:
         changed = False
         for i in sorted(members):
-            d = alc.dual_index(i)
+            d = duals[i]
             if d not in members:
                 members.add(d)
                 changed = True
@@ -432,11 +419,10 @@ def _closure(ft: FusionTensor, seed) -> tuple:
 
 
 def _assert_closed(ft: FusionTensor, subset: tuple):
-    alc = ft.alcove
     assert 0 in subset
     s = set(subset)
     for i in subset:
-        assert alc.dual_index(i) in s
+        assert ft.alcove.duals[i] in s
     for a in subset:
         for b in subset:
             if b < a:
@@ -476,9 +462,3 @@ def enumerate_fusion_subcategories(ft: FusionTensor,
         _assert_closed(ft, e)
     return SubcatLattice(elements=tuple(order),
                          generators=tuple(found[e] for e in order))
-
-
-def self_dual_count(data) -> int:
-    """Simples fixed by duality of a ModularData or an Alcove."""
-    alc = data.alcove if isinstance(data, ModularData) else data
-    return sum(1 for i in range(alc.rank) if alc.dual_index(i) == i)

@@ -25,7 +25,6 @@ from fractions import Fraction
 from .localmods import LocalCategoryData
 from .modular import ModularData, central_charge
 from .rootsys import build_root_system
-from .verifier import self_dual_count
 
 _DIM_TOL = 1e-6
 
@@ -90,7 +89,7 @@ def fingerprint(data, label: str | None = None) -> WittFingerprint:
         dim_multiset=tuple(sorted(float(q) for q in data.qdims)),
         twist_multiset=tuple(sorted(a.t for a in data.twists)),
         self_dual_count=data.self_dual_count() if local
-        else self_dual_count(data),
+        else sum(i == d for i, d in enumerate(data.alcove.duals.tolist())),
         pointed_rank=len(data.pointed_indices),
         multiplicity_free=None if local else data.fusion.is_multiplicity_free())
 

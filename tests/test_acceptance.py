@@ -236,15 +236,15 @@ def _distinct(vals, tol):
 
 
 def test_so8_level8_smallest_distinct_qdims():
-    d = np.sort(make_alcove("D", 4, 8).qdims())
+    d = np.sort(make_alcove("D", 4, 8).qdims)
     smallest = _distinct(list(d), 1e-3)[:3]
     assert smallest == pytest.approx([1.000, 5.494, 14.592], abs=1e-3)
 
 
 def test_so5_small_level_qdims():
-    d1 = sorted(make_alcove("B", 2, 1).qdims())
+    d1 = sorted(make_alcove("B", 2, 1).qdims)
     assert d1 == pytest.approx([1.0, 1.0, math.sqrt(2.0)], abs=1e-9)
-    d2 = sorted(make_alcove("B", 2, 2).qdims())
+    d2 = sorted(make_alcove("B", 2, 2).qdims)
     assert len(d2) == 6
     assert any(abs(x - 2.0) < 1e-9 for x in d2)
     assert any(abs(x - math.sqrt(5.0)) < 1e-9 for x in d2)
@@ -377,7 +377,7 @@ def test_balancing_reconstruction():
         big_d = math.sqrt(float(np.sum(d * d)))
         rec = np.empty((md.rank, md.rank), dtype=complex)
         for i in range(md.rank):
-            row = md.fusion.matrix(md.alcove.dual_index(i)).astype(float)
+            row = md.fusion.matrix(md.alcove.duals[i]).astype(float)
             rec[i] = (row @ (d * th)) / (big_d * th[i] * th)
         assert float(np.max(np.abs(rec - md.smatrix))) < 1e-8, (s, r, k)
 

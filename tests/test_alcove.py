@@ -4,7 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from wzwcat.alcove import make_alcove, qint
+from wzwcat.alcove import make_alcove, qint, quantum_dimensions
+from wzwcat.modular import ModularData
+
+
+def quantum_dimension(rs, k, lam) -> float:
+    """Scalar reference: product over the positive roots of
+    [<lam + rho, alpha>] / [<rho, alpha>] at altitude lacing (k + h_dual),
+    with the pairing <x, alpha> = sum_j alpha_j x_j d_j written out."""
+    ell = rs.lacing * (k + rs.h_dual)
+    val = 1.0
+    for alpha in rs.pos_roots:
+        val *= qint(sum(c * (x + 1) * d
+                        for c, x, d in zip(alpha, lam, rs.d)), ell)
+        val /= qint(sum(c * d for c, d in zip(alpha, rs.d)), ell)
+    return val
 
 
 def test_alcove_sizes_closed_forms():
@@ -126,14 +140,15 @@ def test_fold_refuses_a_point_that_does_not_terminate(monkeypatch):
 
 def test_qdim_b2_small_levels():
     a = make_alcove("B", 2, 1)
-    got = {w: a.qdim(w) for w in a.weights}
+    got = dict(zip(a.weights, a.qdims))
     assert got[(0, 0)] == pytest.approx(1.0)
     assert got[(1, 0)] == pytest.approx(1.0)          # simple current
     assert got[(0, 1)] == pytest.approx(math.sqrt(2))  # Ising-type spinor
     a = make_alcove("B", 2, 2)
-    assert a.qdim((1, 0)) == pytest.approx(2.0)
-    assert a.qdim((0, 1)) == pytest.approx(math.sqrt(5))
-    assert a.qdim((2, 0)) == pytest.approx(1.0)
+    got = dict(zip(a.weights, a.qdims))
+    assert got[(1, 0)] == pytest.approx(2.0)
+    assert got[(0, 1)] == pytest.approx(math.sqrt(5))
+    assert got[(2, 0)] == pytest.approx(1.0)
 
 
 def test_qdim_b2_k5_bracket_form():
@@ -142,7 +157,7 @@ def test_qdim_b2_k5_bracket_form():
     ell = a.ell
     assert ell == 16
     expect = qint(5, ell) * qint(6, ell) / (qint(2, ell) * qint(3, ell))
-    assert a.qdim((1, 0)) == pytest.approx(expect, abs=1e-12)
+    assert a.qdims[a.index[(1, 0)]] == pytest.approx(expect, abs=1e-12)
 
 
 def test_qdim_current_exactly_one():
@@ -150,20 +165,40 @@ def test_qdim_current_exactly_one():
     for series, rank, k, w in [("A", 1, 7, (7,)), ("B", 2, 6, (6, 0)),
                                ("A", 3, 3, (0, 0, 3)), ("C", 3, 2, (0, 0, 2))]:
         a = make_alcove(series, rank, k)
-        assert a.qdim(w) == pytest.approx(1.0, abs=1e-12)
+        assert a.qdims[a.index[w]] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_qdims_positive_and_vacuum_minimal():
     for series, rank, k in [("A", 2, 4), ("D", 4, 2), ("F", 4, 1), ("G", 2, 3)]:
         a = make_alcove(series, rank, k)
-        qs = a.qdims()
+        qs = a.qdims
         assert min(qs) >= 1.0 - 1e-9
-        assert a.qdim((0,) * rank) == pytest.approx(1.0)
+        assert qs[a.index[(0,) * rank]] == pytest.approx(1.0)
+
+
+# bit-identical to the scalar product, root by root, across all types
+QDIM_CASES = [
+    ("A", 3, 8), ("G", 2, 10), ("C", 3, 4), ("D", 4, 4), ("B", 2, 10),
+    ("A", 1, 50), ("E", 6, 2), ("F", 4, 4), ("E", 8, 2), ("E", 7, 3),
+    ("B", 2, 20), ("G", 2, 20), ("A", 7, 8), ("C", 4, 4), ("D", 5, 4),
+]
+
+
+@pytest.mark.parametrize("series,rank,k", QDIM_CASES)
+def test_qdims_equal_scalar_reference(series, rank, k):
+    a = make_alcove(series, rank, k)
+    assert a.qdims.tolist() == [quantum_dimension(a.rs, k, w)
+                                for w in a.weights]
+
+
+def test_quantum_dimensions_refuse_non_dominant_weights():
+    a = make_alcove("A", 2, 3)
+    with pytest.raises(ValueError):
+        quantum_dimensions(a.rs, 3, [(1, -2)])
 
 
 def test_global_dim_ising():
-    a = make_alcove("A", 1, 2)
-    assert a.global_dim() == pytest.approx(4.0)
+    assert ModularData("A", 1, 2).global_dim == pytest.approx(4.0)
 
 
 def test_bad_level():

@@ -120,6 +120,24 @@ def test_internal_check_failure_exits_one_line():
     assert "fold did not terminate" in proc.stderr
 
 
+@pytest.mark.parametrize("argv,code", [
+    ("data A 1 -1", cli.EXIT_USAGE),                     # negative level
+    ("local A 1 -2", cli.EXIT_USAGE),
+    ("data A 1 0", cli.EXIT_USAGE),                      # level 0
+    ("data E 5 1", cli.EXIT_USAGE),                      # unsupported rank
+    ("data G 2 3 --max-alcove 0", cli.EXIT_CAPACITY),    # refuses all
+    ("verify thm1 --range A:k<", cli.EXIT_USAGE),
+    ("local A 3 4 --subgroup 9,9,9", cli.EXIT_USAGE),
+    ("fingerprint A 1 2 --vs A:1", cli.EXIT_USAGE),
+])
+def test_malformed_input_exits_in_one_line(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", *argv.split()],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors():
     assert cli.main(["data", "Q", "2", "4"]) == cli.EXIT_USAGE
     assert cli.main(["data", "B", "0", "4"]) == cli.EXIT_USAGE

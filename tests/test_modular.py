@@ -64,7 +64,7 @@ def test_smatrix_properties(series, rank, k):
     # S^2 is the duality permutation
     c = np.zeros((md.rank, md.rank))
     for i in range(md.rank):
-        c[i, md.alcove.dual_index(i)] = 1
+        c[i, md.alcove.duals[i]] = 1
     assert np.max(np.abs(s @ s - c)) < 1e-9
 
 

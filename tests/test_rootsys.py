@@ -6,19 +6,41 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wzwcat.alcove import make_alcove
+from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.modular import integer_form
 from wzwcat.rootsys import (
     DIMENSION_CAP,
     DimensionCapError,
     build_root_system,
     dominate,
-    dual_weight,
     weight_system,
-    weyl_dimension,
+    weyl_dimensions,
     weyl_group_order,
     weyl_orbit_signs,
 )
+
+
+def weyl_dimension(rs, lam) -> int:
+    """Scalar reference: prod <lam + rho, alpha> / prod <rho, alpha> over
+    the positive roots, with the pairing <x, alpha> = sum_j alpha_j x_j d_j
+    written out."""
+    num = den = 1
+    for alpha in rs.pos_roots:
+        num *= sum(c * (x + 1) * d for c, x, d in zip(alpha, lam, rs.d))
+        den *= sum(c * d for c, d in zip(alpha, rs.d))
+    assert num % den == 0
+    return num // den
+
+
+def dual_weight(rs, lam):
+    """Scalar reference: -w0(lam), the dominant weight in the orbit of -lam."""
+    return dominate(rs, tuple(-x for x in lam))[0]
+
+
+def alcove_dual(rs, lam):
+    """Dual of lam read from Alcove.duals at the level of lam (at least 1)."""
+    alc = Alcove(rs, max(1, rs.level(lam)))
+    return alc.weights[alc.duals[alc.index[lam]]]
 
 
 # (series, rank) -> (#positive roots, dual Coxeter number)
@@ -90,8 +112,7 @@ def test_g2_orientation():
     rs = build_root_system("G", 2)
     assert rs.d == (1, 3)
     assert rs.cartan == ((2, -1), (-3, 2))
-    assert weyl_dimension(rs, (1, 0)) == 7
-    assert weyl_dimension(rs, (0, 1)) == 14
+    assert weyl_dimensions(rs, [(1, 0), (0, 1)]) == [7, 14]
     assert rs.highest_root == (3, 2)  # adjoint highest weight = (0,1) labels
     assert rs.root_labels(rs.highest_root) == (0, 1)
 
@@ -100,7 +121,7 @@ def test_f4_marks_and_comarks():
     rs = build_root_system("F", 4)
     assert rs.marks == (2, 3, 4, 2)
     assert rs.comarks == (2, 3, 2, 1)
-    assert weyl_dimension(rs, (0, 0, 0, 1)) == 26
+    assert weyl_dimensions(rs, [(0, 0, 0, 1)]) == [26]
 
 
 WEYL_DIMS = [
@@ -126,14 +147,15 @@ WEYL_DIMS = [
 @pytest.mark.parametrize("series,rank,lam,dim", WEYL_DIMS)
 def test_weyl_dimensions(series, rank, lam, dim):
     rs = build_root_system(series, rank)
-    assert weyl_dimension(rs, lam) == dim
+    assert weyl_dimensions(rs, [lam]) == [dim]
 
 
 def test_adjoint_dimension_is_highest_root_rep():
     for series, rank, dim_g in [("A", 2, 8), ("B", 2, 10), ("G", 2, 14),
                                 ("D", 4, 28), ("F", 4, 52), ("E", 6, 78)]:
         rs = build_root_system(series, rank)
-        assert weyl_dimension(rs, rs.root_labels(rs.highest_root)) == dim_g
+        assert weyl_dimensions(rs, [rs.root_labels(rs.highest_root)]) \
+            == [dim_g]
         assert len(rs.pos_roots) * 2 + rank == dim_g
 
 
@@ -150,7 +172,7 @@ def test_adjoint_dimension_is_highest_root_rep():
 def test_weight_system_total_dimension(series, rank, lam):
     rs = build_root_system(series, rank)
     ws = weight_system(rs, lam)
-    assert sum(ws.values()) == weyl_dimension(rs, lam)
+    assert [sum(ws.values())] == weyl_dimensions(rs, [lam])
     # all weights lie under lam in the root-lattice order
     assert ws[tuple(lam)] == 1
 
@@ -243,6 +265,14 @@ def test_weight_system_matches_full_lattice_on_alcove(series, rank, k):
             _full_lattice_weight_system(alc.rs, lam), lam
 
 
+@pytest.mark.parametrize("series,rank,k", FOLD_SWEEP_TOP_LEVELS)
+def test_weyl_dimensions_and_duals_match_scalar_references(series, rank, k):
+    alc = make_alcove(series, rank, k)
+    assert alc.weyl_dims == [weyl_dimension(alc.rs, w) for w in alc.weights]
+    assert [alc.weights[d] for d in alc.duals] == \
+        [dual_weight(alc.rs, w) for w in alc.weights]
+
+
 @pytest.mark.parametrize("series,rank,lam", [
     ("A", 7, (1, 0, 0, 0, 0, 0, 1)),
     ("A", 7, (0, 1, 0, 1, 0, 0, 0)),
@@ -265,7 +295,7 @@ PROPERTY_TYPES = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5),
 def _under_cap(rs, lam, cap=2000):
     """lam with its largest labels lowered until dim <= cap."""
     lam = list(lam)
-    while weyl_dimension(rs, lam) > cap:
+    while weyl_dimensions(rs, [lam])[0] > cap:
         lam[lam.index(max(lam))] -= 1
     return tuple(lam)
 
@@ -283,7 +313,7 @@ def _capped_weights(draw):
 def test_weight_system_properties(case):
     rs, lam = case
     ws = weight_system(rs, lam)
-    assert sum(ws.values()) == weyl_dimension(rs, lam)
+    assert [sum(ws.values())] == weyl_dimensions(rs, [lam])
     for mu, m in ws.items():
         for i in range(rs.rank):
             assert ws[rs.simple_reflection(mu, i)] == m
@@ -300,7 +330,7 @@ def test_weight_system_refuses_oversized_at_once(labels):
     # so any weight with lambda_4 >= 1 is over the cap; hypothesis's
     # deadline (200 ms) fails the test if anything is enumerated first
     lam = tuple(labels[:3]) + (labels[3] + 1,) + tuple(labels[4:])
-    assert weyl_dimension(E8, lam) > DIMENSION_CAP
+    assert weyl_dimensions(E8, [lam])[0] > DIMENSION_CAP
     with pytest.raises(DimensionCapError):
         weight_system(E8, lam)
     assert ("wsys", lam) not in E8._cache
@@ -311,19 +341,19 @@ def test_dominate_and_dual():
     w, sign = dominate(rs, (-1, -1))
     assert w == (1, 1)
     assert sign == -1  # longest element, three positive roots
-    assert dual_weight(rs, (1, 0)) == (0, 1)
-    assert dual_weight(rs, (2, 1)) == (1, 2)
+    assert alcove_dual(rs, (1, 0)) == (0, 1)
+    assert alcove_dual(rs, (2, 1)) == (1, 2)
     rs = build_root_system("A", 3)
-    assert dual_weight(rs, (1, 0, 0)) == (0, 0, 1)
-    assert dual_weight(rs, (0, 1, 0)) == (0, 1, 0)
+    assert alcove_dual(rs, (1, 0, 0)) == (0, 0, 1)
+    assert alcove_dual(rs, (0, 1, 0)) == (0, 1, 0)
     for series, rank in [("B", 3), ("C", 3), ("G", 2), ("F", 4), ("D", 5)]:
         rs = build_root_system(series, rank)
         lam = (1, 0, 1) if rank == 3 else (1,) * rank
         if series == "D":
             # D5 spinors swap under duality
-            assert dual_weight(rs, (0, 0, 0, 1, 0)) == (0, 0, 0, 0, 1)
+            assert alcove_dual(rs, (0, 0, 0, 1, 0)) == (0, 0, 0, 0, 1)
         else:
-            assert dual_weight(rs, lam[: rank]) == lam[: rank]
+            assert alcove_dual(rs, lam[: rank]) == lam[: rank]
 
 
 def test_weyl_orbit_signs_counts():
@@ -344,8 +374,8 @@ def test_weyl_orbit_order_and_signs(series, rank):
     # length of w = number of positive roots alpha with <w(rho), alpha> < 0
     rs = build_root_system(series, rank)
     orbit = weyl_orbit_signs(rs, rs.rho)
-    lengths = [sum(1 for a in rs.pos_roots if rs.pairing(p, a) < 0)
-               for p in orbit]
+    lengths = (np.array(list(orbit)) @ rs.pairing_matrix < 0).sum(
+        axis=1).tolist()
     assert lengths == sorted(lengths)
     assert lengths[-1] == len(rs.pos_roots)
     assert all(s == (-1) ** n for s, n in zip(orbit.values(), lengths))

@@ -6,7 +6,6 @@ import pytest
 from wzwcat import verifier as V
 from wzwcat.alcove import make_alcove
 from wzwcat.fusion import FusionTensor
-from wzwcat.modular import ModularData
 
 
 def test_midweight_ratio_frozen_values():
@@ -191,9 +190,3 @@ def test_subcategory_lattices():
 def test_lattice_capacity():
     with pytest.raises(V.CapacityError):
         V.enumerate_fusion_subcategories(FusionTensor(make_alcove("A", 1, 50)))
-
-
-def test_self_dual_count():
-    assert V.self_dual_count(ModularData("B", 2, 5)) == 21  # everything
-    assert V.self_dual_count(ModularData("A", 2, 3)) == 2   # unit and adjoint
-    assert V.self_dual_count(make_alcove("A", 1, 7)) == 8

@@ -22,6 +22,14 @@ def test_fingerprint_shape():
                - cmath.exp(1j * math.pi * float(f.charge_exponent))) < 1e-12
 
 
+def test_self_dual_count():
+    def count(*case):
+        return W.fingerprint(ModularData(*case)).self_dual_count
+    assert count("B", 2, 5) == 21   # everything
+    assert count("A", 2, 3) == 2    # unit and adjoint
+    assert count("A", 1, 7) == 8
+
+
 def test_fingerprint_local():
     f = W.fingerprint(local_category("B", 2, 8))
     assert f.label == "C(B2,8) local"
