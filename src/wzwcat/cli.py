@@ -190,9 +190,14 @@ def _label_str(w) -> str:
 
 def _capacity_gate(ns) -> int | None:
     limit = ns.max_alcove
-    n = count_alcove(ns.series, ns.rank, ns.k)
+    # n lambda_j lies in the alcove for 0 <= n <= k // a_j: a bound that can
+    # pass the cap only if k >= limit, and refuses without count_alcove's list
+    n = (ns.k // min(build_root_system(ns.series, ns.rank).comarks) + 1
+         if ns.k >= max(limit, 1) else 0)
+    if n <= max(limit, 0):
+        n = count_alcove(ns.series, ns.rank, ns.k)
     if n > limit:
-        print(f"alcove has {n} weights, over the cap {limit}",
+        print(f"alcove has at least {n} weights, over the cap {limit}",
               file=sys.stderr)
         return EXIT_CAPACITY
     return None

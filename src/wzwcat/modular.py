@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,10 +11,9 @@ import numpy as np
 
 from .alcove import Alcove
 from .fusion import FusionTensor
-from .rootsys import (DimensionCapError, build_root_system, weyl_group_order,
-                      weyl_orbit_signs)
+from .rootsys import (WEYL_GROUP_CAP, DimensionCapError, build_root_system,
+                      weyl_group_order, weyl_orbit_signs)
 
-WEYL_GROUP_CAP = 10_000_000
 # The S-matrix sums |W| r(r+1)/2 terms for r simples.  At the 1.4e8 terms/s
 # measured on a 2-vCPU x86-64 VM (A5 k8, D5 k8) the cap is about 70 s;
 # A7 k8 (8.3e11 terms) is refused.
@@ -76,41 +74,25 @@ def gauss_phase(qdims, twists) -> complex:
     return total / abs(total)
 
 
-def _weyl_matrices(rs, orbit: dict):
-    """W as int8 matrices on Dynkin labels, with det signs as int8.
-
-    orbit is weyl_orbit_signs(rs, rho): free, in nondecreasing length, the
-    sign (-1)^length, so each run of equal signs is one length.  w(rho)
-    with a negative label i has the shorter element s_i w one length
-    earlier, and M_w = R_i M_{s_i w} with R_i the reflection's matrix.
+def _weyl_matrices(rs, orbit: np.ndarray):
+    """W as int8 matrices on Dynkin labels, with det signs as int8, for the
+    records of weyl_orbit_signs: M_w = R_i M_parent, with R_i the matrix of
+    the reflection in the recorded node i.  Parents lie one layer back, and
+    each layer is one run of equal signs.
     """
     r = rs.rank
-    pts = np.fromiter(itertools.chain.from_iterable(orbit), dtype=np.int8,
-                      count=len(orbit) * r).reshape(-1, r)
-    signs = np.fromiter(orbit.values(), dtype=np.int8, count=len(orbit))
-    cartan = np.array(rs.cartan, dtype=np.int64)
-    base = 2 * int(np.abs(pts).max()) + 1
-    if base ** r >= 2 ** 63:
-        raise AssertionError("orbit labels too wide to encode")
-    radix = base ** np.arange(r, dtype=np.int64)
-    mats = np.empty((len(pts), r, r), dtype=np.int8)
+    cartan = np.array(rs.cartan, dtype=np.int16)
+    mats = np.empty((len(orbit), r, r), dtype=np.int8)
     mats[0] = np.eye(r, dtype=np.int8)
-    cuts = [0, *(np.flatnonzero(np.diff(signs)) + 1), len(pts)]
-    for prev, start, stop in zip(cuts, cuts[1:], cuts[2:]):
-        y = pts[start:stop].astype(np.int64)
-        lanes = np.arange(len(y))
-        i = np.argmax(y < 0, axis=1)
-        parent = y - y[lanes, i][:, None] * cartan[i]       # s_i(w(rho))
-        codes = (pts[prev:start].astype(np.int64) + base // 2) @ radix
-        order = np.argsort(codes, kind="stable")
-        hit = order[np.searchsorted(codes, (parent + base // 2) @ radix,
-                                    sorter=order)]
+    cuts = [*(np.flatnonzero(np.diff(orbit["sign"])) + 1), len(orbit)]
+    for start, stop in zip(cuts, cuts[1:]):
+        i = orbit["node"][start:stop]
         # int16 holds every step: |a_ij| <= 3, and the entries of M_w are
         # coroot coefficients, at most 6
-        pm = mats[prev + hit].astype(np.int16)
-        ci = cartan[i].astype(np.int16)
-        mats[start:stop] = pm - ci[:, :, None] * pm[lanes, i][:, None, :]
-    return mats, signs
+        pm = mats[orbit["parent"][start:stop]].astype(np.int16)
+        lanes = np.arange(stop - start)
+        mats[start:stop] = pm - cartan[i][:, :, None] * pm[lanes, i][:, None, :]
+    return mats, orbit["sign"]
 
 
 class ModularData:

@@ -24,6 +24,7 @@ Weight = tuple  # Dynkin labels, ints
 Root = tuple    # simple-root coordinates, ints
 
 DIMENSION_CAP = 10_000_000
+WEYL_GROUP_CAP = 10_000_000
 
 _SERIES_RANK_OK = {
     "A": lambda n: n >= 1,
@@ -355,33 +356,43 @@ def weyl_group_order(rs: RootSystem) -> int:
     return math.factorial(rs.rank) * math.prod(rs.marks) * int(det)
 
 
-def weyl_orbit_signs(rs: RootSystem, x: Weight, cap: int = 10_000_000) -> dict:
-    """Free Weyl orbit of a strictly dominant weight with det signs.
-
-    Breadth-first from x by simple reflections, so the points w(x) come in
-    nondecreasing length of w and each sign det(w) is (-1)^length(w).
+def weyl_orbit_signs(rs: RootSystem, x: Weight) -> np.ndarray:
+    """Free Weyl orbit of a strictly dominant weight x, one record per w in W:
+    ``point`` w(x) in Dynkin labels, ``sign`` det(w) = (-1)^length(w), and
+    ``parent`` and ``node``, the index of s_i w and i (-1 on the identity,
+    which comes first).  Layer by layer, the children of a layer are s_i y
+    for its points y and the nodes i with y_i > 0, parent-first, then in
+    node order, keeping the first of equal points.  Each child is one length
+    longer than its parent, so no earlier layer can hold it.
     """
-    if any(v <= 0 for v in x):
+    x = np.array(x, dtype=np.int64)
+    if np.any(x <= 0):
         raise ValueError("orbit seed must be strictly dominant")
-    rows = tuple(enumerate(rs.cartan))
-    sign = 1
-    orbit = {tuple(x): sign}
-    layer = [tuple(x)]
-    while layer:
-        sign = -sign
-        nxt = []
-        for w in layer:
-            for i, row in rows:
-                wi = w[i]
-                if wi <= 0:
-                    if wi == 0:
-                        raise AssertionError("orbit hit a wall")
-                    continue    # s_i w is one length shorter: already seen
-                y = tuple([a - wi * c for a, c in zip(w, row)])
-                if y not in orbit:
-                    orbit[y] = sign
-                    nxt.append(y)
-                    if len(orbit) > cap:
-                        raise DimensionCapError(f"Weyl orbit exceeds {cap}")
-        layer = nxt
+    order = weyl_group_order(rs)
+    if order > WEYL_GROUP_CAP:
+        raise DimensionCapError(f"|W| of {rs.name} exceeds {WEYL_GROUP_CAP}")
+    # a label of w(x) is some <x, beta^vee> <= max <x, alpha>, and |a_ij| <= 3:
+    # the walk runs in the narrowest dtype that holds three times that
+    label = np.min_scalar_type(-3 * int((x @ rs.pairing_matrix).max()))
+    orbit = np.empty(order, dtype=[("point", label, rs.rank), ("sign", np.int8),
+                                   ("parent", np.int64), ("node", np.int8)])
+    orbit[0] = x, 1, -1, -1
+    cartan = np.array(rs.cartan, dtype=label)
+    start, stop = 0, 1
+    while start < stop:
+        y = orbit["point"][start:stop]
+        rows, nodes = np.nonzero(y > 0)
+        kids = y[rows] - y[rows, nodes][:, None] * cartan[nodes]
+        # the sort is stable, so each run of equal points starts with the first
+        by = np.lexsort(kids.T)
+        runs = kids[by]
+        new = np.ones(len(by), dtype=bool)
+        new[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+        first = np.sort(by[new])
+        layer = orbit[stop:stop + len(first)]
+        layer["point"], layer["sign"] = kids[first], -orbit["sign"][start]
+        layer["parent"], layer["node"] = start + rows[first], nodes[first]
+        start, stop = stop, stop + len(first)
+    if stop != order:
+        raise AssertionError("Weyl orbit is not free")
     return orbit

@@ -23,6 +23,7 @@ from .rootsys import build_root_system
 
 VERDICT_BLOCKED = "no_exceptional_factorization_possible"
 VERDICT_OPEN = "inconclusive"
+E_SCAN_LIMIT = 150         # last level of the E6/E7 threshold scans
 
 
 class CapacityError(ValueError):
@@ -243,7 +244,7 @@ def check_typeD_threshold(n: int, k: int) -> dict:
             "candidate_min": m}
 
 
-def check_E_series_thresholds(series: str, scan_limit: int = 150) -> dict:
+def check_E_series_thresholds(series: str) -> dict:
     """Level scan for the E6/E7 obstruction inequality.
 
     Compares dim(probe)^2 against |Z|^2 times the classical adjoint
@@ -274,13 +275,13 @@ def check_E_series_thresholds(series: str, scan_limit: int = 150) -> dict:
         return d * d > center ** 2 * classical
 
     scan, first_level = [], None
-    for k in range(step, scan_limit + 1, step):
+    for k in range(step, E_SCAN_LIMIT + 1, step):
         ok = classical_pass(k)
         scan.append((k, ok))
         if ok and first_level is None:
             first_level = k
     onset_any_k = next(
-        (k for k in range(1, scan_limit + 1) if classical_pass(k)), None)
+        (k for k in range(1, E_SCAN_LIMIT + 1) if classical_pass(k)), None)
     direct = []
     for k in direct_levels:
         dp, da = quantum_dimensions(rs, k, [probe, adjoint]).tolist()

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 import time
@@ -129,10 +130,16 @@ def test_internal_check_failure_exits_one_line():
     ("verify thm1 --range A:k<", cli.EXIT_USAGE),
     ("local A 3 4 --subgroup 9,9,9", cli.EXIT_USAGE),
     ("fingerprint A 1 2 --vs A:1", cli.EXIT_USAGE),
+    ("data A 1 1000000000", cli.EXIT_CAPACITY),          # level near 1e9
 ])
 def test_malformed_input_exits_in_one_line(argv, code):
+    # 1 GiB of address space: a gate that lists the level would need ~8 GB
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
     proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", *argv.split()],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          preexec_fn=limit_memory)
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr

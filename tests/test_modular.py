@@ -19,8 +19,8 @@ def _naive_smatrix(md):
     u = np.zeros((md.rank, md.rank), dtype=complex)
     for a, x in enumerate(shifted):
         orbit = weyl_orbit_signs(rs, tuple(int(v) for v in x))
-        pts = np.array(list(orbit), dtype=float)
-        sgn = np.array(list(orbit.values()), dtype=float)
+        pts = orbit["point"].astype(float)
+        sgn = orbit["sign"].astype(float)
         u[a] = sgn @ np.exp(-2j * math.pi / ell * (pts @ form @ shifted.T))
     u /= np.linalg.norm(u[0])
     return u * cmath.exp(-1j * cmath.phase(u[0, 0]))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wzwcat.alcove import Alcove, make_alcove
-from wzwcat.modular import integer_form
+from wzwcat.modular import _weyl_matrices, integer_form
 from wzwcat.rootsys import (
     DIMENSION_CAP,
     DimensionCapError,
@@ -356,11 +356,29 @@ def test_dominate_and_dual():
             assert alcove_dual(rs, lam[: rank]) == lam[: rank]
 
 
+def _breadth_first_orbit(rs, x):
+    """Scalar reference for the order of weyl_orbit_signs: breadth-first
+    from x by the simple reflections s_i with label i > 0, parent-first
+    and then in node order, each new point kept the first time it is met."""
+    seen, layer, out = {tuple(x)}, [tuple(x)], [tuple(x)]
+    while layer:
+        nxt = []
+        for w in layer:
+            for i, row in enumerate(rs.cartan):
+                y = tuple(a - w[i] * c for a, c in zip(w, row))
+                if w[i] > 0 and y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        out += nxt
+        layer = nxt
+    return out
+
+
 def test_weyl_orbit_signs_counts():
     rs = build_root_system("A", 2)
     orbit = weyl_orbit_signs(rs, (1, 1))  # rho: free orbit of size |W| = 6
     assert len(orbit) == 6
-    assert sum(orbit.values()) == 0
+    assert orbit["sign"].sum() == 0
     rs = build_root_system("B", 2)
     assert len(weyl_orbit_signs(rs, (1, 1))) == 8
     rs = build_root_system("G", 2)
@@ -368,18 +386,24 @@ def test_weyl_orbit_signs_counts():
 
 
 @pytest.mark.parametrize("series,rank", [
-    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2),
+    ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6),
 ])
 def test_weyl_orbit_order_and_signs(series, rank):
     # length of w = number of positive roots alpha with <w(rho), alpha> < 0
     rs = build_root_system(series, rank)
     orbit = weyl_orbit_signs(rs, rs.rho)
-    lengths = (np.array(list(orbit)) @ rs.pairing_matrix < 0).sum(
-        axis=1).tolist()
+    lengths = (orbit["point"] @ rs.pairing_matrix < 0).sum(axis=1).tolist()
     assert lengths == sorted(lengths)
     assert lengths[-1] == len(rs.pos_roots)
-    assert all(s == (-1) ** n for s, n in zip(orbit.values(), lengths))
+    assert all(s == (-1) ** n for s, n in zip(orbit["sign"].tolist(), lengths))
     assert weyl_group_order(rs) == len(orbit)
+    assert orbit["point"].tolist() == [list(y) for y in
+                                       _breadth_first_orbit(rs, rs.rho)]
+    # the matrices of W: M_e = I, M_w rho = w(rho) and det M_w = det(w)
+    mats = _weyl_matrices(rs, orbit)[0].astype(np.int64)
+    assert (mats[0] == np.eye(rs.rank, dtype=np.int64)).all()
+    assert (mats @ np.array(rs.rho) == orbit["point"]).all()
+    assert (np.rint(np.linalg.det(mats)) == orbit["sign"]).all()
 
 
 @pytest.mark.parametrize("series,rank,order", [
