@@ -157,23 +157,26 @@ def cache_path(cache_dir: Path, series: str, rank: int, k: int) -> Path:
 
 
 def load_or_build_bundle(series, rank, k, cache_dir=None):
-    """Returns (bundle, from_cache)."""
+    """Returns (json_text, from_cache); a hit is the stored text, once it
+    parses as a bundle."""
     path = None
     if cache_dir is not None:
         path = cache_path(cache_dir, series, rank, k)
         if path.exists():
             try:
-                return bundle_from_json(path.read_text()), True
+                text = path.read_text()
+                bundle_from_json(text)
+                return text, True
             except (ValueError, LookupError, TypeError):
                 pass    # a truncated or corrupt entry is a miss: rebuild it
-    bundle = build_bundle(ModularData(series, rank, k))
+    text = bundle_to_json(build_bundle(ModularData(series, rank, k)))
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
-            f.write(bundle_to_json(bundle))
+            f.write(text)
         os.replace(tmp, path)     # atomic publish
-    return bundle, False
+    return text, False
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +235,9 @@ def _parse_subgroup(md: ModularData, spec: str):
 
 def cmd_data(ns) -> int:
     if ns.format == "json":
-        bundle, _ = load_or_build_bundle(ns.series, ns.rank, ns.k,
-                                         _cache_dir(ns))
-        _emit(ns, bundle_to_json(bundle))
+        text, _ = load_or_build_bundle(ns.series, ns.rank, ns.k,
+                                       _cache_dir(ns))
+        _emit(ns, text)
         return EXIT_OK
     md = ModularData(ns.series, ns.rank, ns.k)
     lines = [f"C({md.rs.name},{md.k}): {md.rank} simple objects",
@@ -269,14 +272,10 @@ def cmd_fusion(ns) -> int:
     return EXIT_OK
 
 
-_STRUCTURE_NAMES = {(): "trivial"}
-
-
 def _structure_str(struct) -> str:
     if struct is None:
         return "undetermined"
-    return _STRUCTURE_NAMES.get(struct,
-                                " x ".join(f"Z{n}" for n in struct))
+    return " x ".join(f"Z{n}" for n in struct) or "trivial"
 
 
 def cmd_local(ns) -> int:

@@ -58,11 +58,19 @@ def cycle_length(perm) -> int:
     return n
 
 
+def monodromy_charges(md: ModularData, j: int, perm) -> np.ndarray:
+    """2P Q_J(lambda) for every alcove index lambda, as the int64 array
+    (T_J + T - T[perm]) mod 2P, where perm is the action of J and
+    Q_J(lambda) = h_J + h_lambda - h_{J lambda} mod 1 is the monodromy
+    charge, from the exact twist numerators (h = T / 2P mod 1)."""
+    t, period = md.twist_numerators
+    return (t[j] + t - t[np.asarray(perm)]) % (2 * period)
+
+
 def check_action(md: ModularData, j: int, perm) -> None:
     """AssertionError unless perm is a bijection of the alcove that sends
     the unit to j, keeps quantum dimensions, and has N Q_J(lambda) integral
-    for every lambda, N the order of J.  Q_J(lambda) = h_J + h_lambda -
-    h_{J lambda} mod 1 is the monodromy charge, from the exact twists."""
+    for every lambda, N the order of J."""
     p = np.asarray(perm, dtype=np.int64)
     if p[0] != j or not np.array_equal(np.sort(p), np.arange(md.rank)):
         raise AssertionError(f"action of index {j} is not a bijection "
@@ -72,8 +80,8 @@ def check_action(md: ModularData, j: int, perm) -> None:
     if gap >= POINTED_TOL:
         raise AssertionError(f"action of index {j} changes a quantum "
                              f"dimension by {gap:.1e} relative")
-    t, period = md.twist_numerators      # h = T / 2P mod 1
-    if (cycle_length(p) * (t[j] + t - t[p]) % (2 * period)).any():
+    period = md.twist_numerators[1]
+    if (cycle_length(p) * monodromy_charges(md, j, p) % (2 * period)).any():
         raise AssertionError(f"action of index {j} breaks the monodromy "
                              "charge")
 
@@ -113,16 +121,19 @@ class CurrentGroup:
 
     ``indices`` are the simples of quantum dimension 1 and always start
     with 0 (the unit).  ``actions[j]`` is the fusion permutation of the
-    current with alcove index j.
+    current with alcove index j, and ``charges[j]`` its monodromy charges.
     """
 
     md: ModularData
     indices: tuple = field(init=False)
     actions: dict = field(init=False)
+    charges: dict = field(init=False)
 
     def __post_init__(self):
         self.indices = self.md.pointed_indices
         self.actions = {j: current_action(self.md, j) for j in self.indices}
+        self.charges = {j: monodromy_charges(self.md, j, self.actions[j])
+                        for j in self.indices}
         assert self.indices[0] == 0
         if any(self.actions[j][i] not in self.indices
                for j in self.indices for i in self.indices):

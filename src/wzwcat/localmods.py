@@ -1,17 +1,20 @@
 """Local modules over the regular algebra of a Tannakian current subgroup.
 
-A weight orbit under the subgroup H supports local modules exactly when the
-exact twist angle is constant along the orbit (monodromy test; current-fixed
-weights pass trivially).  A free orbit of size |H| gives one simple; an orbit
-with stabilizer of order s splits into s simples of equal dimension.  Data of
-individual split pieces beyond dimension and twist (fixed-point resolution)
-is deliberately out of scope; aggregate quantities never need it.
+A weight orbit under the subgroup H supports local modules exactly when its
+monodromy charge with every current of H is 0; for H Tannakian that is the
+exact twist being constant along the orbit.  A free orbit of size |H| gives
+one simple; an orbit with stabilizer of order s splits into s simples of
+equal dimension.  Data of individual split pieces beyond dimension and twist
+(fixed-point resolution) is deliberately out of scope; aggregate quantities
+never need it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .currents import CurrentGroup, cycle_length, invariant_factors
 from .modular import POINTED_TOL, ModularData, RationalAngle, gauss_phase
@@ -40,21 +43,16 @@ class LocalCategoryData:
 
     def _build(self):
         md, cg, sub = self.md, self.currents, self.subgroup
-        seen = [False] * md.rank
-        orbits, local_orbits = [], []
-        for i in range(md.rank):
-            if seen[i]:
-                continue
-            orb = cg.orbit(sub, i)
-            for x in orb:
-                seen[x] = True
-            orbits.append(orb)
-            if len({md.twists[x] for x in orb}) == 1:
-                local_orbits.append(orb)
-        self.orbits = tuple(orbits)
-        self.local_orbits = tuple(local_orbits)
+        # one row per current of H; column i is the H-orbit of i
+        acts = np.array([cg.actions[h] for h in sub])
+        local = ~np.array([cg.charges[h] for h in sub]).any(axis=0)
+        self._rep = acts.min(axis=0)        # the smallest index of each orbit
+        heads = np.flatnonzero(self._rep == np.arange(md.rank))
+        self.orbits = tuple(tuple(sorted(set(acts[:, i].tolist())))
+                            for i in heads)
+        self.local_orbits = tuple(o for o in self.orbits if local[o[0]])
         simples = []
-        for orb in local_orbits:
+        for orb in self.local_orbits:
             split = len(sub) // len(orb)
             rep = orb[0]
             d = float(md.qdims[rep]) / split
@@ -139,38 +137,26 @@ class LocalCategoryData:
         """Invariant factors of the group of free invertibles.  The rep of
         each is a simple current, so a product is the orbit rep of the
         current's action on the other rep."""
-        rep_of = {x: orb[0] for orb in self.orbits for x in orb}
         acts = self.currents.actions
         return invariant_factors(
-            cycle_length([rep_of[x] for x in acts[self.simples[i].rep]])
+            cycle_length(self._rep[list(acts[self.simples[i].rep])])
             for i in idxs)
-
-    def monodromy(self, current_rep: int, simple: LocalSimple) -> RationalAngle:
-        """Double-braiding scalar of an invertible free module with a simple,
-        from exact twists: theta(J.mu)/theta(J)theta(mu)."""
-        md = self.md
-        act = self.currents.actions[current_rep]
-        target = act[simple.rep]
-        return (md.twists[target]
-                / md.twists[current_rep] / md.twists[simple.rep])
 
     def adjoint_rank(self) -> int:
         """Rank of the trivial component of the grading by invertibles.
 
-        Counts simples whose monodromy with every invertible is trivial.
-        Split pieces inherit their orbit's monodromy scalar.  Raises if some
-        invertible is itself a split piece, since grading by those would need
-        fixed-point resolution.
+        Counts simples whose monodromy charge with every invertible is 0.
+        Split pieces inherit their orbit's charge.  Raises if some invertible
+        is itself a split piece, since grading by those would need fixed-point
+        resolution.
         """
         reps, split_pieces = self._free_invertible_reps()
         if split_pieces:
             raise ValueError("pointed part contains split pieces; "
                              "orbit-level grading is not resolvable")
-        count = 0
-        for s in self.simples:
-            if all(self.monodromy(j, s).is_trivial for j in reps):
-                count += 1
-        return count
+        charges = self.currents.charges
+        return sum(not any(charges[j][s.rep] for j in reps)
+                   for s in self.simples)
 
     def self_dual_count(self) -> int:
         """Simples fixed by duality at orbit level; split pieces count with

@@ -74,27 +74,6 @@ def gauss_phase(qdims, twists) -> complex:
     return total / abs(total)
 
 
-def _weyl_matrices(rs, orbit: np.ndarray):
-    """W as int8 matrices on Dynkin labels, with det signs as int8, for the
-    records of weyl_orbit_signs: M_w = R_i M_parent, with R_i the matrix of
-    the reflection in the recorded node i.  Parents lie one layer back, and
-    each layer is one run of equal signs.
-    """
-    r = rs.rank
-    cartan = np.array(rs.cartan, dtype=np.int16)
-    mats = np.empty((len(orbit), r, r), dtype=np.int8)
-    mats[0] = np.eye(r, dtype=np.int8)
-    cuts = [*(np.flatnonzero(np.diff(orbit["sign"])) + 1), len(orbit)]
-    for start, stop in zip(cuts, cuts[1:]):
-        i = orbit["node"][start:stop]
-        # int16 holds every step: |a_ij| <= 3, and the entries of M_w are
-        # coroot coefficients, at most 6
-        pm = mats[orbit["parent"][start:stop]].astype(np.int16)
-        lanes = np.arange(stop - start)
-        mats[start:stop] = pm - cartan[i][:, :, None] * pm[lanes, i][:, None, :]
-    return mats, orbit["sign"]
-
-
 class ModularData:
     """S and T data of the level-k alcove of a simple type.
 
@@ -157,7 +136,7 @@ class ModularData:
             x = lambda + rho,
 
         scaled to unit rows with S_00 real positive.  W is enumerated once,
-        as the free orbit of rho, and turned into integer matrices.
+        as the free orbit of rho with the integer matrix of each element.
         D <w(x_a), x_b> is an integer for D the common denominator of the
         quadratic form, so each term is a (D ell)-th root of unity looked up
         by its index.  Only entries with b >= a are summed (S = S^T), over
@@ -171,7 +150,8 @@ class ModularData:
                 f"S-matrix of {rs.name} level {self.k} sums {terms} Weyl "
                 f"terms (|W| = {order}), over the caps {SMATRIX_TERM_CAP} "
                 f"terms and |W| {WEYL_GROUP_CAP}")
-        mats, signs = _weyl_matrices(rs, weyl_orbit_signs(rs, rs.rho))
+        orbit = weyl_orbit_signs(rs, rs.rho)
+        mats, signs = orbit["matrix"], orbit["sign"]
         denom, gram = integer_form(rs)
         gram = gram.astype(np.float64)
         period = denom * self.alcove.ell

@@ -265,12 +265,12 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     by subtracting positive roots and keeping the dominant results; this
     reaches all of them because the covers of the dominance order on
     dominant weights are positive roots (Stembridge, 1998).  Freudenthal's
-    formula runs on those alone, in increasing height of lam - mu, reading
-    each term m(mu + j alpha) as m(dominate(mu + j alpha)); the string stops
-    at the first weight outside the system.  Each dominant weight is then
-    spread over its Weyl orbit by descending simple reflections.  Raises
-    DimensionCapError beyond DIMENSION_CAP, before any enumeration, to keep
-    runaway requests loud.
+    formula runs on those alone, in increasing height of lam - mu, and each
+    dominant weight is spread over its Weyl orbit as soon as it is known.
+    The dominant weight of the orbit of mu + j alpha lies strictly above mu,
+    so every term m(mu + j alpha) is already in the table; the string stops
+    at the first weight outside the system.  Raises DimensionCapError beyond
+    DIMENSION_CAP, before any enumeration, to keep runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
     if not dominant(lam):
@@ -300,26 +300,25 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
                     nxt.append(x)
         layer = nxt
     lam2 = tuple(x + 2 for x in lam)
-    dom_mult = {lam: 1}
-    for mu in sorted(coords, key=lambda w: sum(coords[w]))[1:]:
-        num = 0
-        for _, alab, cd in roots:
-            x = tuple([m + a for m, a in zip(mu, alab)])
-            while True:
-                mx = dom_mult.get(dominate(rs, x)[0])
-                if mx is None:
-                    break
-                num += mx * sum([ci * xi for ci, xi in zip(cd, x)])
-                x = tuple([m + a for m, a in zip(x, alab)])
-        # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
-        den = sum([ci * di * (l + m) for ci, di, l, m
-                   in zip(coords[mu], d, lam2, mu)])
-        if (2 * num) % den:
-            raise AssertionError("Freudenthal division failed")
-        dom_mult[mu] = (2 * num) // den
     rows = tuple(enumerate(rs.cartan))
     mult = {}
-    for mu, m in dom_mult.items():
+    for mu in sorted(coords, key=lambda w: sum(coords[w])):
+        if mu == lam:
+            m = 1
+        else:
+            num = 0
+            for _, alab, cd in roots:
+                x = tuple([u + a for u, a in zip(mu, alab)])
+                while (mx := mult.get(x)) is not None:
+                    num += mx * sum([ci * xi for ci, xi in zip(cd, x)])
+                    x = tuple([u + a for u, a in zip(x, alab)])
+            # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
+            den = sum([ci * di * (l + u) for ci, di, l, u
+                       in zip(coords[mu], d, lam2, mu)])
+            if (2 * num) % den:
+                raise AssertionError("Freudenthal division failed")
+            m = (2 * num) // den
+        # spread mu over its Weyl orbit by descending simple reflections
         mult[mu] = m
         layer = [mu]
         while layer:
@@ -340,30 +339,24 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
 
 
 def weyl_group_order(rs: RootSystem) -> int:
-    """|W| = rank! * (product of the marks) * det(cartan), exactly.
-
-    Bourbaki, Lie Groups ch. VI, 2.4; det(cartan) is the index of
-    connection.  No pivoting: the leading minors of a Cartan matrix of
-    finite type are positive.
+    """|W| = rank! * (product of the marks) * |P/Q|, exactly (Bourbaki, Lie
+    Groups ch. VI, 2.4).  The index of connection |P/Q| is 1 plus the number
+    of nodes of mark 1: with the affine node, these are the special vertices
+    of the alcove (ch. VI, 2.3), the same fact that gives the simple currents.
     """
-    m = [[Fraction(x) for x in row] for row in rs.cartan]
-    det = Fraction(1)
-    for c in range(rs.rank):
-        det *= m[c][c]
-        for r in range(c + 1, rs.rank):
-            f = m[r][c] / m[c][c]
-            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return math.factorial(rs.rank) * math.prod(rs.marks) * int(det)
+    return (math.factorial(rs.rank) * math.prod(rs.marks)
+            * (1 + rs.marks.count(1)))
 
 
 def weyl_orbit_signs(rs: RootSystem, x: Weight) -> np.ndarray:
     """Free Weyl orbit of a strictly dominant weight x, one record per w in W:
     ``point`` w(x) in Dynkin labels, ``sign`` det(w) = (-1)^length(w), and
-    ``parent`` and ``node``, the index of s_i w and i (-1 on the identity,
-    which comes first).  Layer by layer, the children of a layer are s_i y
-    for its points y and the nodes i with y_i > 0, parent-first, then in
-    node order, keeping the first of equal points.  Each child is one length
-    longer than its parent, so no earlier layer can hold it.
+    ``matrix`` the int8 matrix of w on Dynkin labels, identity first.  Layer
+    by layer, the children of a layer are s_i y for its points y and the
+    nodes i with y_i > 0, parent-first, then in node order, keeping the first
+    of equal points; each child's matrix is R_i times its parent's.  Each
+    child is one length longer than its parent, so no earlier layer can
+    hold it.
     """
     x = np.array(x, dtype=np.int64)
     if np.any(x <= 0):
@@ -371,13 +364,17 @@ def weyl_orbit_signs(rs: RootSystem, x: Weight) -> np.ndarray:
     order = weyl_group_order(rs)
     if order > WEYL_GROUP_CAP:
         raise DimensionCapError(f"|W| of {rs.name} exceeds {WEYL_GROUP_CAP}")
+    r = rs.rank
     # a label of w(x) is some <x, beta^vee> <= max <x, alpha>, and |a_ij| <= 3:
     # the walk runs in the narrowest dtype that holds three times that
     label = np.min_scalar_type(-3 * int((x @ rs.pairing_matrix).max()))
-    orbit = np.empty(order, dtype=[("point", label, rs.rank), ("sign", np.int8),
-                                   ("parent", np.int64), ("node", np.int8)])
-    orbit[0] = x, 1, -1, -1
+    orbit = np.empty(order, dtype=[("point", label, r), ("sign", np.int8),
+                                   ("matrix", np.int8, (r, r))])
+    orbit[0] = x, 1, np.eye(r)
     cartan = np.array(rs.cartan, dtype=label)
+    # int16 holds every matrix step: |a_ij| <= 3, and the entries of M_w
+    # are coroot coefficients, at most 6
+    cartan16 = np.array(rs.cartan, dtype=np.int16)
     start, stop = 0, 1
     while start < stop:
         y = orbit["point"][start:stop]
@@ -389,9 +386,12 @@ def weyl_orbit_signs(rs: RootSystem, x: Weight) -> np.ndarray:
         new = np.ones(len(by), dtype=bool)
         new[1:] = (runs[1:] != runs[:-1]).any(axis=1)
         first = np.sort(by[new])
+        i = nodes[first]
+        pm = orbit["matrix"][start + rows[first]].astype(np.int16)
         layer = orbit[stop:stop + len(first)]
         layer["point"], layer["sign"] = kids[first], -orbit["sign"][start]
-        layer["parent"], layer["node"] = start + rows[first], nodes[first]
+        layer["matrix"] = (pm - cartan16[i][:, :, None]
+                           * pm[np.arange(len(i)), i][:, None, :])
         start, stop = stop, stop + len(first)
     if stop != order:
         raise AssertionError("Weyl orbit is not free")

@@ -37,24 +37,12 @@ def _omega(rank: int, i: int, mult: int = 1) -> tuple:
     return tuple(w)
 
 
-# Probe weights per series are data, not code: the dominant root for the
-# simply laced types, the short dominant root for B and C.
-PROBE_TABLE = {
-    "A": "dominant_root",
-    "B": "omega1",
-    "C": "omega2",
-    "D": "dominant_root",
-    "E": "dominant_root",
-    "F": "dominant_root",
-    "G": "dominant_root",
-}
-
-
 def probe_weight(rs) -> tuple:
-    rule = PROBE_TABLE[rs.series]
-    if rule == "omega1":
+    # the dominant root for the simply laced types, the short dominant root
+    # for B and C
+    if rs.series == "B":
         return _omega(rs.rank, 1)
-    if rule == "omega2":
+    if rs.series == "C":
         return _omega(rs.rank, 2)
     return rs.root_labels(rs.highest_root)
 

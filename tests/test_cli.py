@@ -167,6 +167,26 @@ def test_cache_reuse(tmp_path, capsys, monkeypatch):
     assert len(list(env_dir.glob("B2-k2-*.json"))) == 1
 
 
+def test_data_json_serialises_each_bundle_once(tmp_path, capsys,
+                                               monkeypatch):
+    # a miss serialises the fresh bundle once, for the cache file and stdout
+    # alike; a hit emits the stored text without serialising again
+    args = ["data", "B", "2", "2", "--format", "json"]
+    assert cli.main(args) == 0
+    uncached = capsys.readouterr().out
+    calls = []
+    to_json = cli.bundle_to_json
+    monkeypatch.setattr(cli, "bundle_to_json",
+                        lambda bundle: calls.append(1) or to_json(bundle))
+    args += ["--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == uncached
+    assert len(calls) == 1
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == uncached
+    assert len(calls) == 1
+
+
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):
     args = ["data", "B", "2", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]

@@ -139,6 +139,21 @@ def test_locality_is_root_lattice_membership():
         assert local_weights == lattice
 
 
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 3, 4), ("D", 4, 4), ("B", 2, 2), ("E", 6, 3), ("A", 7, 8),
+])
+def test_local_orbits_have_constant_twist(series, rank, k):
+    # the monodromy definition of locality: an H-orbit is local exactly when
+    # the exact twist is constant along it
+    loc = local_category(series, rank, k)
+    md, cg = loc.md, loc.currents
+    assert loc.subgroup_order > 1
+    orbits = {cg.orbit(loc.subgroup, i) for i in range(md.rank)}
+    expected = {o for o in orbits if len({md.twists[x] for x in o}) == 1}
+    assert set(loc.orbits) == orbits
+    assert set(loc.local_orbits) == expected
+
+
 def test_locality_is_sublattice_congruence_sl4():
     # the Tannakian subgroup of sl4 at level 4 is only half the center, so
     # locality is the coarser condition: even tetrality a1 + a3

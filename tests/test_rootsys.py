@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wzwcat.alcove import Alcove, make_alcove
-from wzwcat.modular import _weyl_matrices, integer_form
+from wzwcat.modular import integer_form
 from wzwcat.rootsys import (
     DIMENSION_CAP,
     DimensionCapError,
@@ -400,7 +400,7 @@ def test_weyl_orbit_order_and_signs(series, rank):
     assert orbit["point"].tolist() == [list(y) for y in
                                        _breadth_first_orbit(rs, rs.rho)]
     # the matrices of W: M_e = I, M_w rho = w(rho) and det M_w = det(w)
-    mats = _weyl_matrices(rs, orbit)[0].astype(np.int64)
+    mats = orbit["matrix"].astype(np.int64)
     assert (mats[0] == np.eye(rs.rank, dtype=np.int64)).all()
     assert (mats @ np.array(rs.rho) == orbit["point"]).all()
     assert (np.rint(np.linalg.det(mats)) == orbit["sign"]).all()
