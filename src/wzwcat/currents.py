@@ -13,11 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .modular import POINTED_TOL, ModularData, RationalAngle
 from .rootsys import longest_element
+
+if TYPE_CHECKING:
+    from .modular import ModularData, RationalAngle
+
+POINTED_TOL = 1e-6     # |d - 1| below this marks an invertible simple
 
 
 class NotInvertibleError(ValueError):
@@ -65,6 +70,14 @@ def monodromy_charges(md: ModularData, j: int, perm) -> np.ndarray:
     charge, from the exact twist numerators (h = T / 2P mod 1)."""
     t, period = md.twist_numerators
     return (t[j] + t - t[np.asarray(perm)]) % (2 * period)
+
+
+def orbit_reps(acts) -> tuple:
+    """(rep, reps) for the orbits of the currents whose actions are the
+    rows of the (|H|, n) array acts: rep[i] is the smallest index of the
+    orbit of i, the minimum of column i, and reps the sorted reps."""
+    rep = acts.min(axis=0)
+    return rep, np.flatnonzero(rep == np.arange(acts.shape[1]))
 
 
 def check_action(md: ModularData, j: int, perm) -> None:
@@ -190,10 +203,6 @@ class CurrentGroup:
         if bad:
             raise ValueError(f"subgroup is not Tannakian; twists != 1 at {bad}")
         return sub
-
-    def orbit(self, subgroup: tuple, i: int) -> tuple:
-        """H-orbit of alcove index i, sorted."""
-        return tuple(sorted({self.actions[h][i] for h in subgroup}))
 
     def stabilizer_order(self, subgroup: tuple, i: int) -> int:
         return sum(1 for h in subgroup if self.actions[h][i] == i)

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .currents import CurrentGroup, cycle_length, invariant_factors
-from .modular import POINTED_TOL, ModularData, RationalAngle, gauss_phase
+from .currents import (POINTED_TOL, CurrentGroup, cycle_length,
+                       invariant_factors, orbit_reps)
+from .modular import ModularData, RationalAngle, gauss_phase
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class LocalCategoryData:
         # one row per current of H; column i is the H-orbit of i
         acts = np.array([cg.actions[h] for h in sub])
         local = ~np.array([cg.charges[h] for h in sub]).any(axis=0)
-        self._rep = acts.min(axis=0)        # the smallest index of each orbit
-        heads = np.flatnonzero(self._rep == np.arange(md.rank))
+        self._rep, heads = orbit_reps(acts)
         self.orbits = tuple(tuple(sorted(set(acts[:, i].tolist())))
                             for i in heads)
         self.local_orbits = tuple(o for o in self.orbits if local[o[0]])

@@ -9,20 +9,20 @@ from functools import cached_property
 
 import numpy as np
 
+from . import currents
 from .alcove import Alcove
 from .fusion import FusionTensor
 from .rootsys import (WEYL_GROUP_CAP, DimensionCapError, build_root_system,
                       weyl_group_order, weyl_orbit_signs)
 
-# The S-matrix sums |W| r(r+1)/2 terms for r simples.  At the 1.4e8 terms/s
-# measured on a 2-vCPU x86-64 VM (A5 k8, D5 k8) the cap is about 70 s;
-# A7 k8 (8.3e11 terms) is refused.
+# The S-matrix sums |W| m(m+1)/2 terms for m orbits of the diagram
+# currents.  At the 1.4e8 terms/s measured on a 2-vCPU x86-64 VM (A5 k8,
+# D5 k8) the cap is about 70 s; A7 k8 (810 orbits, 1.3e10 terms) is refused.
 SMATRIX_TERM_CAP = 10_000_000_000
 # Working arrays of one step of that sum.  Steps that stay in cache ran
 # about twice as fast per term as 32 MiB ones; 1 and 2 MiB ran alike.
 SMATRIX_CHUNK_BYTES = 1 << 20
 _TERM_BYTES = 40        # float and int phase index, quotient, phase
-POINTED_TOL = 1e-6     # |d - 1| below this marks an invertible simple
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ class ModularData:
     def pointed_indices(self) -> tuple:
         """Indices of the invertible simples (quantum dimension 1)."""
         return tuple(i for i, d in enumerate(self.qdims)
-                     if abs(d - 1.0) < POINTED_TOL)
+                     if abs(d - 1.0) < currents.POINTED_TOL)
 
     @cached_property
     def central_charge(self) -> Fraction:
@@ -135,40 +135,55 @@ class ModularData:
             S_ab ~ sum_w det(w) exp(-2 pi i <w(x_a), x_b> / ell),
             x = lambda + rho,
 
-        scaled to unit rows with S_00 real positive.  W is enumerated once,
-        as the free orbit of rho with the integer matrix of each element.
-        D <w(x_a), x_b> is an integer for D the common denominator of the
-        quadratic form, so each term is a (D ell)-th root of unity looked up
-        by its index.  Only entries with b >= a are summed (S = S^T), over
-        chunks of W whose working arrays fit SMATRIX_CHUNK_BYTES.
+        scaled to unit rows with S_00 real positive.  The sum runs only
+        over representatives of the orbits of the diagram currents (the
+        unit and k omega_n for each node n of mark 1; never the fold-route
+        current of E8 level 2, so S reads no fusion row).  Every other
+        entry follows from S_{Ja,b} = exp(2 pi i Q_J(b)) S_ab
+        (Schellekens-Yankielowicz, Int. J. Mod. Phys. A5, 1990) and S = S^T:
+        S_ab = exp(2 pi i (Q_g(b) + Q_h(a'))) S_a'b' for a = g a', b = h b',
+        with a' and b' orbit reps (_fill_by_currents).
+
+        W is enumerated once, as the free orbit of rho with the integer
+        matrix of each element.  D <w(x_a), x_b> is an integer for D the
+        common denominator of the quadratic form, so each term is a
+        (D ell)-th root of unity looked up by its index.  Only entries with
+        b >= a are summed, over chunks of W whose working arrays fit
+        SMATRIX_CHUNK_BYTES.
         """
-        rs, n, r = self.rs, self.rank, self.rs.rank
+        rs, n, r, k = self.rs, self.rank, self.rs.rank, self.k
+        heads = [0] + [self.alcove.index[tuple(k * (i == m) for i in range(r))]
+                       for m in range(r) if rs.marks[m] == 1]
+        acts = np.array([np.arange(n)] + [currents.current_action(self, j)
+                                          for j in heads[1:]])
+        rep, reps = currents.orbit_reps(acts)
+        m = len(reps)
         order = weyl_group_order(rs)
-        terms = order * n * (n + 1) // 2
+        terms = order * m * (m + 1) // 2
         if order > WEYL_GROUP_CAP or terms > SMATRIX_TERM_CAP:
             raise DimensionCapError(
                 f"S-matrix of {rs.name} level {self.k} sums {terms} Weyl "
-                f"terms (|W| = {order}), over the caps {SMATRIX_TERM_CAP} "
-                f"terms and |W| {WEYL_GROUP_CAP}")
+                f"terms (|W| = {order}, {m} current orbits), over the caps "
+                f"{SMATRIX_TERM_CAP} terms and |W| {WEYL_GROUP_CAP}")
         orbit = weyl_orbit_signs(rs, rs.rho)
         mats, signs = orbit["matrix"], orbit["sign"]
         denom, gram = integer_form(rs)
         gram = gram.astype(np.float64)
         period = denom * self.alcove.ell
         roots = np.exp(-2j * math.pi / period * np.arange(period))
-        x = np.array(self.weights, dtype=np.float64) + 1
+        x = self.alcove.labels[reps].astype(np.float64) + 1
         # a chunk of W holds one full row of terms and its matrices; then as
         # many rows as fit SMATRIX_CHUNK_BYTES, for columns b >= a0 only
-        chunk = max(1, SMATRIX_CHUNK_BYTES // (_TERM_BYTES * n + 16 * r * r))
-        u = np.zeros((n, n), dtype=complex)
+        chunk = max(1, SMATRIX_CHUNK_BYTES // (_TERM_BYTES * m + 16 * r * r))
+        u = np.zeros((m, m), dtype=complex)
         for w0 in range(0, order, chunk):
             # M_w^T G, so that D <w(x_a), x_b> = x_a . (M_w^T G) x_b
             p = mats[w0:w0 + chunk].transpose(0, 2, 1).astype(np.float64) @ gram
             sgn = signs[w0:w0 + chunk].astype(np.float64)
             a0 = 0
-            while a0 < n:
+            while a0 < m:
                 rows = max(1, SMATRIX_CHUNK_BYTES
-                           // (_TERM_BYTES * len(sgn) * (n - a0)))
+                           // (_TERM_BYTES * len(sgn) * (m - a0)))
                 v = np.matmul(x[a0:a0 + rows], p).reshape(-1, r)
                 idx = (v @ x[a0:].T).astype(np.intp)
                 # idx mod period; floor division by a scalar is several
@@ -176,14 +191,40 @@ class ModularData:
                 idx -= idx // period * period
                 phase = roots.take(idx).reshape(len(sgn), -1)
                 block = (sgn @ phase.view(np.float64)).view(complex)
-                u[a0:a0 + rows, a0:] += block.reshape(-1, n - a0)
+                u[a0:a0 + rows, a0:] += block.reshape(-1, m - a0)
                 a0 += rows
-        for a in range(1, n):
+        for a in range(1, m):
             u[a, :a] = u[:a, a]
-        u /= np.linalg.norm(u[0])
+        s = u if m == n else self._fill_by_currents(u, acts, heads, rep, reps)
+        s /= np.linalg.norm(s[0])
         # common phase so the vacuum entry is real positive
-        u *= cmath.exp(-1j * cmath.phase(u[0, 0]))
-        return u
+        s *= cmath.exp(-1j * cmath.phase(s[0, 0]))
+        return s
+
+    def _fill_by_currents(self, u, acts, heads, rep, reps) -> np.ndarray:
+        """The n x n S from its block u on the orbit reps: S_ab =
+        exp(2 pi i (Q_g(b) + Q_h(rep a))) u[rep a, rep b], where g and h
+        are currents with a = g rep(a) and b = h rep(b), and 2P Q_J are
+        the exact integer charges, looked up in a table of the 2P roots."""
+        n = self.rank
+        charges = np.array([currents.monodromy_charges(self, j, p)
+                            for j, p in zip(heads, acts)])
+        g = np.empty(n, dtype=np.intp)     # row of acts taking rep(a) to a
+        g[acts[:, reps]] = np.arange(len(heads))[:, None]
+        col = np.searchsorted(reps, rep)   # index of rep(a) in u
+        period = self.twist_numerators[1]
+        # twice over, so that a sum of two charges needs no reduction
+        turns = np.tile(np.exp(1j * math.pi / period
+                               * np.arange(2 * period)), 2)
+        s = np.empty((n, n), dtype=complex)
+        rows = max(1, SMATRIX_CHUNK_BYTES // (_TERM_BYTES * n))
+        for a0 in range(0, n, rows):
+            a = slice(a0, a0 + rows)
+            idx = charges.take(g[a], axis=0)                 # 2P Q_g(b)
+            idx += charges[:, rep[a]].T.take(g, axis=1)      # 2P Q_h(rep a)
+            np.multiply(turns.take(idx), u[col[a]].take(col, axis=1),
+                        out=s[a])
+        return s
 
     @cached_property
     def smatrix_unitarity_residual(self) -> float:

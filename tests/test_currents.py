@@ -14,6 +14,12 @@ def _index(md, weight):
     return md.alcove.index[tuple(weight)]
 
 
+def current_orbit(cg, subgroup, i):
+    """Reference H-orbit of alcove index i, sorted: the image of i under
+    each current of the subgroup."""
+    return tuple(sorted({cg.actions[h][i] for h in subgroup}))
+
+
 def test_invertible_counts_match_centers():
     # order of the invertible group = |Z(G)| for these (series, rank, k)
     expect = {
@@ -96,14 +102,14 @@ def test_orbit_stabilizer_lagrange():
     cg = CurrentGroup(md)
     full = tuple(cg.indices)
     for i in range(md.rank):
-        orb = cg.orbit(full, i)
+        orb = current_orbit(cg, full, i)
         assert len(orb) * cg.stabilizer_order(full, i) == cg.order
     # (1,1,1) is fixed by the whole Z/4
     fixed = _index(md, (1, 1, 1))
-    assert cg.orbit(full, fixed) == (fixed,)
+    assert current_orbit(cg, full, fixed) == (fixed,)
     assert cg.stabilizer_order(full, fixed) == 4
     # the unit's orbit is the group itself
-    assert cg.orbit(full, 0) == cg.indices
+    assert current_orbit(cg, full, 0) == cg.indices
 
 
 def test_element_orders():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_currents import current_orbit
 
 from wzwcat.currents import invariant_factors
 from wzwcat.localmods import LocalCategoryData, local_category
@@ -148,7 +149,7 @@ def test_local_orbits_have_constant_twist(series, rank, k):
     loc = local_category(series, rank, k)
     md, cg = loc.md, loc.currents
     assert loc.subgroup_order > 1
-    orbits = {cg.orbit(loc.subgroup, i) for i in range(md.rank)}
+    orbits = {current_orbit(cg, loc.subgroup, i) for i in range(md.rank)}
     expected = {o for o in orbits if len({md.twists[x] for x in o}) == 1}
     assert set(loc.orbits) == orbits
     assert set(loc.local_orbits) == expected

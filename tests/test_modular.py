@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import wzwcat.fusion
 from wzwcat.modular import ModularData, RationalAngle
 from wzwcat.rootsys import weyl_orbit_signs
 
@@ -71,6 +72,10 @@ def test_smatrix_properties(series, rank, k):
 @pytest.mark.parametrize("series,rank,k", [
     ("A", 2, 3), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2), ("E", 6, 1),
     ("F", 4, 2), ("G", 2, 3),
+    # current groups Z4, Z2 x Z2, Z4, Z3, Z6 and Z2; B4 k2 and D6 k2 have
+    # orbits with a fixed point
+    ("A", 3, 4), ("D", 4, 4), ("D", 5, 4), ("E", 6, 2), ("A", 5, 3),
+    ("C", 4, 2), ("B", 4, 2), ("D", 6, 2),
 ])
 def test_smatrix_matches_naive_weyl_sum(series, rank, k):
     md = ModularData(series, rank, k)
@@ -83,6 +88,17 @@ def test_smatrix_matches_naive_weyl_sum(series, rank, k):
         * cmath.exp(-2j * math.pi * float(md.central_charge) / 24)
     st = s @ t
     assert np.max(np.abs(st @ st @ st - s @ s)) < 1e-12
+
+
+@pytest.mark.parametrize("series,rank,k", [("A", 3, 4), ("D", 4, 4)])
+def test_smatrix_reads_no_fusion_row(series, rank, k, monkeypatch):
+    # the currents that fill S act by diagram automorphisms, so S stays
+    # independent of the fold route
+    def refuse(*args, **kwargs):
+        raise AssertionError("S-matrix read a fusion row")
+    monkeypatch.setattr(wzwcat.fusion, "fuse_weights", refuse)
+    md = ModularData(series, rank, k)
+    assert md.smatrix_unitarity_residual < 1e-12
 
 
 @pytest.mark.parametrize("series,rank,k", [
