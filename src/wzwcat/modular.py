@@ -152,10 +152,12 @@ class ModularData:
         SMATRIX_CHUNK_BYTES.
         """
         rs, n, r, k = self.rs, self.rank, self.rs.rank, self.k
-        heads = [0] + [self.alcove.index[tuple(k * (i == m) for i in range(r))]
-                       for m in range(r) if rs.marks[m] == 1]
+        # the diagram currents: the unit, and k omega_node for each node of
+        # mark 1, with their actions as the rows of one array
+        js = [0] + [self.alcove.index[tuple(k * (i == node) for i in range(r))]
+                    for node in range(r) if rs.marks[node] == 1]
         acts = np.array([np.arange(n)] + [currents.current_action(self, j)
-                                          for j in heads[1:]])
+                                          for j in js[1:]])
         rep, reps = currents.orbit_reps(acts)
         m = len(reps)
         order = weyl_group_order(rs)
@@ -195,22 +197,22 @@ class ModularData:
                 a0 += rows
         for a in range(1, m):
             u[a, :a] = u[:a, a]
-        s = u if m == n else self._fill_by_currents(u, acts, heads, rep, reps)
+        s = u if m == n else self._fill_by_currents(u, acts, js, rep, reps)
         s /= np.linalg.norm(s[0])
         # common phase so the vacuum entry is real positive
         s *= cmath.exp(-1j * cmath.phase(s[0, 0]))
         return s
 
-    def _fill_by_currents(self, u, acts, heads, rep, reps) -> np.ndarray:
+    def _fill_by_currents(self, u, acts, js, rep, reps) -> np.ndarray:
         """The n x n S from its block u on the orbit reps: S_ab =
         exp(2 pi i (Q_g(b) + Q_h(rep a))) u[rep a, rep b], where g and h
         are currents with a = g rep(a) and b = h rep(b), and 2P Q_J are
         the exact integer charges, looked up in a table of the 2P roots."""
         n = self.rank
         charges = np.array([currents.monodromy_charges(self, j, p)
-                            for j, p in zip(heads, acts)])
+                            for j, p in zip(js, acts)])
         g = np.empty(n, dtype=np.intp)     # row of acts taking rep(a) to a
-        g[acts[:, reps]] = np.arange(len(heads))[:, None]
+        g[acts[:, reps]] = np.arange(len(js))[:, None]
         col = np.searchsorted(reps, rep)   # index of rep(a) in u
         period = self.twist_numerators[1]
         # twice over, so that a sum of two charges needs no reduction
