@@ -126,41 +126,39 @@ class Alcove:
         mu is an (N, rank) int array.  Returns (sign, index), two int64
         arrays of length N: sign in {-1, 0, +1} and the alcove index of the
         folded weight, with sign 0 and index -1 where mu + rho lies on a
-        reflection wall and the term cancels.  Each point is reflected in
-        the first negative label, else in the affine wall while its level
-        exceeds k + h_dual, one step per point per round.
+        reflection wall and the term cancels.  A point with a zero label,
+        or of level exactly k + h_dual, is fixed by a reflection and
+        cancels at once.  Every other live point is reflected in its first
+        negative label, else in the affine wall while its level exceeds
+        k + h_dual, one step per point per round, until it lands inside.
         """
         x = np.array(mu, dtype=np.int64).reshape(-1, self.rs.rank) + 1
-        sign = np.ones(len(x), dtype=np.int64)
+        sign = np.zeros(len(x), dtype=np.int64)
         index = np.full(len(x), -1, dtype=np.int64)
         kh, theta, comarks, cartan = (self._kh, self._theta_labels,
                                       self._comarks, self._cartan)
-        todo = np.arange(len(x))
+        # the live points: labels x, output row, sign so far
+        row = np.arange(len(x))
+        s = np.ones(len(x), dtype=np.int64)
         for _ in range(_FOLD_ITER_CAP):
-            if not len(todo):
+            if not len(x):
                 break
-            y = x[todo]
-            neg = y < 0
+            t = x @ comarks
+            neg = x < 0
             has_neg = neg.any(axis=1)
-            # first negative label: its simple reflection
-            pts = todo[has_neg]
-            i = neg[has_neg].argmax(axis=1)
-            x[pts] -= y[has_neg, i][:, None] * cartan[i]
-            sign[pts] = -sign[pts]
-            # dominant: a wall, the affine reflection, or inside
-            rest, y = todo[~has_neg], y[~has_neg]
-            t = y @ comarks
-            wall = (y == 0).any(axis=1) | (t == kh)
-            sign[rest[wall]] = 0
-            over = ~wall & (t > kh)
-            up = rest[over]
-            x[up] -= (t[over] - kh)[:, None] * theta
-            sign[up] = -sign[up]
-            inside = ~wall & (t < kh)
-            index[rest[inside]] = self.lookup(y[inside] - 1)
-            todo = np.concatenate([pts, up])
-        if len(todo):
-            stuck = tuple((x[todo[0]] - 1).tolist())
+            wall = (x == 0).any(axis=1) | (t == kh)
+            inside = ~(wall | has_neg) & (t < kh)
+            sign[row[inside]] = s[inside]
+            index[row[inside]] = self.lookup(x[inside] - 1)
+            live = ~(wall | inside)
+            x, t, neg, has_neg, row, s = (x[live], t[live], neg[live],
+                                          has_neg[live], row[live], -s[live])
+            # reflect in the first negative label, else in the affine wall
+            i = neg.argmax(axis=1)
+            step = np.where(has_neg, x[np.arange(len(x)), i], t - kh)
+            x -= step[:, None] * np.where(has_neg[:, None], cartan[i], theta)
+        if len(x):
+            stuck = tuple((x[0] - 1).tolist())
             raise AssertionError(f"fold did not terminate for {stuck}")
         return sign, index
 

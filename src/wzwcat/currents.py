@@ -46,12 +46,13 @@ def current_action(md: ModularData, j: int) -> tuple:
             raise AssertionError(f"action of index {j} leaves the alcove")
         perm = alc.lookup(image)
     elif abs(md.qdims[j] - 1.0) < POINTED_TOL:     # E8 level 2
-        perm = [next(iter(md.fusion.row(j, i))) for i in range(md.rank)]
+        perm = np.array([next(iter(md.fusion.row(j, i)))
+                         for i in range(md.rank)])
     else:
         raise NotInvertibleError(
             f"index {j}: quantum dimension {md.qdims[j]:.12g} is not 1")
     check_action(md, j, perm)
-    return tuple(int(i) for i in perm)
+    return tuple(perm.tolist())
 
 
 def cycle_length(perm) -> int:
@@ -144,7 +145,7 @@ class CurrentGroup:
 
     def __post_init__(self):
         self.indices = self.md.pointed_indices
-        self.actions = {j: current_action(self.md, j) for j in self.indices}
+        self.actions = {j: self.md.current_action(j) for j in self.indices}
         self.charges = {j: monodromy_charges(self.md, j, self.actions[j])
                         for j in self.indices}
         assert self.indices[0] == 0

@@ -48,8 +48,7 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
     n, dims = alc.rank, alc.weyl_dims
     partners = [b for b in range(n) if (dims[b], b) >= (dims[e], e)]
     ws = weight_system(alc.rs, alc.weights[e])
-    nus = np.array(list(ws), dtype=np.int64)
-    mult = np.fromiter(ws.values(), dtype=np.int64, count=len(ws))
+    nus, mult = ws["point"], ws["mult"]
     base = np.array([alc.weights[b] for b in partners], dtype=np.int64)
     m = len(nus)
     step = max(1, FOLD_CHUNK // max(m, n))

@@ -87,6 +87,13 @@ class ModularData:
         self.alcove = Alcove(self.rs, k)
         self.k = k
         self.fusion = FusionTensor(self.alcove)
+        self._actions = {}
+
+    def current_action(self, j: int) -> tuple:
+        """currents.current_action of index j, built and checked once."""
+        if j not in self._actions:
+            self._actions[j] = currents.current_action(self, j)
+        return self._actions[j]
 
     @property
     def rank(self) -> int:
@@ -156,7 +163,7 @@ class ModularData:
         # mark 1, with their actions as the rows of one array
         js = [0] + [self.alcove.index[tuple(k * (i == node) for i in range(r))]
                     for node in range(r) if rs.marks[node] == 1]
-        acts = np.array([np.arange(n)] + [currents.current_action(self, j)
+        acts = np.array([np.arange(n)] + [self.current_action(j)
                                           for j in js[1:]])
         rep, reps = currents.orbit_reps(acts)
         m = len(reps)

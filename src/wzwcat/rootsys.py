@@ -152,6 +152,7 @@ class RootSystem:
     h_dual: int
     rho: Weight
     quad_form: tuple  # <omega_i, omega_j> as Fractions
+    # unused by the library; perfbench/tracing.py reads it
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -166,9 +167,12 @@ class RootSystem:
     @functools.cached_property
     def pairing_matrix(self) -> np.ndarray:
         """P[i, a] = alpha_a[i] d_i as int64, rank x |pos_roots|, so that
-        <lambda, alpha_a> = (lambda @ P)[a] for Dynkin labels lambda."""
-        return np.array(self.pos_roots, dtype=np.int64).T * np.array(
+        <lambda, alpha_a> = (lambda @ P)[a] for Dynkin labels lambda.
+        Read-only: every caller of the process shares it."""
+        p = np.array(self.pos_roots, dtype=np.int64).T * np.array(
             self.d, dtype=np.int64)[:, None]
+        p.flags.writeable = False
+        return p
 
     def level(self, lam: Weight) -> int:
         return sum(c * x for c, x in zip(self.comarks, lam))
@@ -179,7 +183,9 @@ class RootSystem:
         return tuple(w[j] - wi * row[j] for j in range(self.rank))
 
 
+@functools.cache
 def build_root_system(series: str, rank: int) -> RootSystem:
+    """The root system of a type, built once per process and shared."""
     series = series.upper()
     if series not in _SERIES_RANK_OK or not _SERIES_RANK_OK[series](rank):
         raise ValueError(f"unsupported type {series}{rank}")
@@ -257,8 +263,15 @@ def dominate(rs: RootSystem, w: Weight):
         sign = -sign
 
 
-def weight_system(rs: RootSystem, lam: Weight) -> dict:
-    """Weights of the irreducible representation with multiplicities.
+# weight systems of every type, by (series, rank, lam), for the life of
+# the process: they do not depend on the level
+_WEIGHT_SYSTEMS: dict = {}
+
+
+def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
+    """Weights of the irreducible representation with multiplicities, as a
+    read-only structured array: ``point`` the Dynkin labels, ``mult`` the
+    multiplicity (int32).  Each (type, lam) is computed once per process.
 
     Dominant-weight Freudenthal (Moody and Patera, Bull. AMS 7, 1982), in
     exact integer arithmetic.  The dominant weights mu <= lam come from lam
@@ -275,9 +288,9 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
     lam = tuple(int(x) for x in lam)
     if not dominant(lam):
         raise ValueError(f"weight system wants a dominant weight, got {lam}")
-    key = ("wsys", lam)
-    if key in rs._cache:
-        return rs._cache[key]
+    key = (rs.series, rs.rank, lam)
+    if key in _WEIGHT_SYSTEMS:
+        return _WEIGHT_SYSTEMS[key]
     (dim,) = weyl_dimensions(rs, [lam])
     if dim > DIMENSION_CAP:
         raise DimensionCapError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
@@ -334,8 +347,17 @@ def weight_system(rs: RootSystem, lam: Weight) -> dict:
             layer = nxt
     if sum(mult.values()) != dim:
         raise AssertionError("multiplicities do not sum to the dimension")
-    rs._cache[key] = mult
-    return mult
+    # a label of mu = w(nu), for nu <= lam dominant, is some <nu, beta^vee>,
+    # at most max <lam, alpha>; dim <= DIMENSION_CAP bounds every mult
+    top = int((np.array(lam) @ rs.pairing_matrix).max())
+    ws = np.empty(len(mult), dtype=[
+        ("point", np.min_scalar_type(-1 - top), (rs.rank,)),
+        ("mult", np.int32)])
+    ws["point"] = list(mult)
+    ws["mult"] = list(mult.values())
+    ws.flags.writeable = False
+    _WEIGHT_SYSTEMS[key] = ws
+    return ws
 
 
 def weyl_group_order(rs: RootSystem) -> int:

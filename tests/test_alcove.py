@@ -134,8 +134,18 @@ def test_fold_refuses_a_point_that_does_not_terminate(monkeypatch):
     import wzwcat.alcove
     a = make_alcove("B", 2, 3)
     monkeypatch.setattr(wzwcat.alcove, "_FOLD_ITER_CAP", 1)
+    # mu + rho = (-2, 9): no zero label, level 7 != k + h_dual = 6
     with pytest.raises(AssertionError, match="did not terminate"):
-        a.fold(np.array([[-3, 7]]))
+        a.fold(np.array([[-3, 8]]))
+
+
+def test_fold_cancels_a_wall_point_in_one_round(monkeypatch):
+    import wzwcat.alcove
+    a = make_alcove("B", 2, 3)
+    monkeypatch.setattr(wzwcat.alcove, "_FOLD_ITER_CAP", 1)
+    # mu + rho = (0, -2): fixed by s_1 although not dominant
+    sign, index = a.fold(np.array([[-1, -3]]))
+    assert sign.tolist() == [0] and index.tolist() == [-1]
 
 
 def test_qdim_b2_small_levels():

@@ -1,10 +1,12 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wzwcat import currents
 from wzwcat.currents import (CurrentGroup, NotInvertibleError, check_action,
                              current_action, invariant_factors)
 from wzwcat.modular import ModularData
@@ -117,6 +119,25 @@ def test_element_orders():
     cg = CurrentGroup(md)
     orders = sorted(cg.element_order(j) for j in cg.indices)
     assert orders == [1, 2, 4, 4]
+
+
+def test_each_current_action_is_built_once(monkeypatch):
+    # S takes the three non-unit diagram currents of A3 level 4, and
+    # CurrentGroup the four invertibles; each action is built and checked
+    # once, through the module binding
+    calls = Counter()
+    build = currents.current_action
+
+    def counted(md, j):
+        calls[j] += 1
+        return build(md, j)
+
+    monkeypatch.setattr(currents, "current_action", counted)
+    md = ModularData("A", 3, 4)
+    md.smatrix
+    cg = CurrentGroup(md)
+    assert len(cg.indices) == 4
+    assert calls == Counter(cg.indices)
 
 
 def test_noninvertible_rejected():

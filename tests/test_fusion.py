@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from test_alcove import reference_fold
+from test_rootsys import weight_dict
 from wzwcat import fusion
 from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.fusion import FusionTensor, fuse_weights
@@ -128,7 +129,8 @@ def test_block_rows_match_scalar_folds(chunk, monkeypatch):
         for x in a.weights:
             for y in a.weights:
                 direct = {}
-                for nu, mult in weight_system(a.rs, x).items():
+                ws = weight_dict(weight_system(a.rs, x))
+                for nu, mult in ws.items():
                     sign, w = reference_fold(
                         a, tuple(g + v for g, v in zip(y, nu)))
                     if sign:

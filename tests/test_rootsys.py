@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wzwcat import rootsys
 from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.modular import integer_form
 from wzwcat.rootsys import (
@@ -18,6 +20,12 @@ from wzwcat.rootsys import (
     weyl_group_order,
     weyl_orbit_signs,
 )
+
+
+def weight_dict(ws) -> dict:
+    """A weight_system array read back as {Dynkin labels: multiplicity}."""
+    return {tuple(p): m
+            for p, m in zip(ws["point"].tolist(), ws["mult"].tolist())}
 
 
 def weyl_dimension(rs, lam) -> int:
@@ -171,7 +179,7 @@ def test_adjoint_dimension_is_highest_root_rep():
 ])
 def test_weight_system_total_dimension(series, rank, lam):
     rs = build_root_system(series, rank)
-    ws = weight_system(rs, lam)
+    ws = weight_dict(weight_system(rs, lam))
     assert [sum(ws.values())] == weyl_dimensions(rs, [lam])
     # all weights lie under lam in the root-lattice order
     assert ws[tuple(lam)] == 1
@@ -179,12 +187,13 @@ def test_weight_system_total_dimension(series, rank, lam):
 
 def test_weight_system_known_multiplicities():
     rs = build_root_system("A", 2)
-    ws = weight_system(rs, (1, 1))  # adjoint of sl3: zero weight twice
+    # adjoint of sl3: zero weight twice
+    ws = weight_dict(weight_system(rs, (1, 1)))
     assert ws[(0, 0)] == 2
     rs = build_root_system("G", 2)
-    ws = weight_system(rs, (0, 1))
+    ws = weight_dict(weight_system(rs, (0, 1)))
     assert ws[(0, 0)] == 2  # Cartan of g2
-    ws = weight_system(rs, (1, 0))
+    ws = weight_dict(weight_system(rs, (1, 0)))
     assert ws[(0, 0)] == 1  # 7-dim rep has a single zero weight
 
 
@@ -195,7 +204,7 @@ def test_weight_system_weyl_symmetry_random():
         lam = tuple(rng.randint(0, 2) for _ in range(rank))
         if sum(lam) == 0:
             lam = (1,) + lam[1:]
-        ws = weight_system(rs, lam)
+        ws = weight_dict(weight_system(rs, lam))
         for mu, m in ws.items():
             for i in range(rank):
                 assert ws[rs.simple_reflection(mu, i)] == m
@@ -261,7 +270,7 @@ def test_weight_system_matches_full_lattice_on_alcove(series, rank, k):
     alc = make_alcove(series, rank, k)
     assert alc.rank <= 36 < make_alcove(series, rank, k + 1).rank
     for lam in alc.weights:
-        assert weight_system(alc.rs, lam) == \
+        assert weight_dict(weight_system(alc.rs, lam)) == \
             _full_lattice_weight_system(alc.rs, lam), lam
 
 
@@ -285,7 +294,8 @@ def test_weyl_dimensions_and_duals_match_scalar_references(series, rank, k):
 ])
 def test_weight_system_matches_full_lattice_beyond_sweep(series, rank, lam):
     rs = build_root_system(series, rank)
-    assert weight_system(rs, lam) == _full_lattice_weight_system(rs, lam)
+    assert weight_dict(weight_system(rs, lam)) == \
+        _full_lattice_weight_system(rs, lam)
 
 
 PROPERTY_TYPES = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 5),
@@ -312,7 +322,7 @@ def _capped_weights(draw):
 @given(_capped_weights())
 def test_weight_system_properties(case):
     rs, lam = case
-    ws = weight_system(rs, lam)
+    ws = weight_dict(weight_system(rs, lam))
     assert [sum(ws.values())] == weyl_dimensions(rs, [lam])
     for mu, m in ws.items():
         for i in range(rs.rank):
@@ -333,7 +343,37 @@ def test_weight_system_refuses_oversized_at_once(labels):
     assert weyl_dimensions(E8, [lam])[0] > DIMENSION_CAP
     with pytest.raises(DimensionCapError):
         weight_system(E8, lam)
-    assert ("wsys", lam) not in E8._cache
+    assert ("E", 8, lam) not in rootsys._WEIGHT_SYSTEMS
+
+
+def test_root_system_built_once_per_type():
+    assert build_root_system("F", 4) is build_root_system("F", 4)
+    assert build_root_system("B", 3) is not build_root_system("C", 3)
+
+
+def test_weight_system_shared_across_root_systems_of_a_type():
+    rs = build_root_system("C", 3)
+    other = dataclasses.replace(rs)      # a second root system of type C3
+    assert other is not rs
+    assert weight_system(other, (1, 0, 1)) is weight_system(rs, (1, 0, 1))
+
+
+def test_weight_system_labels_wider_than_int8():
+    # the spin-100 representation of A1: labels -200, -198, ..., 200
+    ws = weight_system(build_root_system("A", 1), (200,))
+    assert sorted(ws["point"][:, 0].tolist()) == list(range(-200, 201, 2))
+    assert ws["mult"].sum() == 201
+
+
+def test_shared_arrays_are_read_only():
+    rs = build_root_system("B", 2)
+    ws = weight_system(rs, (1, 1))
+    with pytest.raises(ValueError):
+        ws["mult"][0] = 7
+    with pytest.raises(ValueError):
+        ws["point"][0, 0] = 7
+    with pytest.raises(ValueError):
+        rs.pairing_matrix[0, 0] = 7
 
 
 def test_dominate_and_dual():
