@@ -73,6 +73,7 @@ class Alcove:
         comarks = self.rs.comarks
         out = []
 
+        # depth first, each label ascending: lexicographic order
         def rec(prefix, budget):
             i = len(prefix)
             if i == n:
@@ -82,7 +83,6 @@ class Alcove:
                 rec(prefix + [v], budget - v * comarks[i])
 
         rec([], self.k)
-        out.sort()
         return out
 
     @property

@@ -191,14 +191,13 @@ def _label_str(w) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _capacity_gate(ns) -> int | None:
-    limit = ns.max_alcove
+def _capacity_gate(series: str, rank: int, k: int, limit: int) -> int | None:
     # n lambda_j lies in the alcove for 0 <= n <= k // a_j: a bound that can
     # pass the cap only if k >= limit, and refuses without count_alcove's list
-    n = (ns.k // min(build_root_system(ns.series, ns.rank).comarks) + 1
-         if ns.k >= max(limit, 1) else 0)
+    n = (k // min(build_root_system(series, rank).comarks) + 1
+         if k >= max(limit, 1) else 0)
     if n <= max(limit, 0):
-        n = count_alcove(ns.series, ns.rank, ns.k)
+        n = count_alcove(series, rank, k)
     if n > limit:
         print(f"alcove has at least {n} weights, over the cap {limit}",
               file=sys.stderr)
@@ -353,8 +352,11 @@ def cmd_fingerprint(ns) -> int:
             print(f"bad --vs spec {ns.vs!r} (want SERIES:RANK:K[:local])",
                   file=sys.stderr)
             return EXIT_USAGE
-        other, err = _fingerprint_of(m.group(1), int(m.group(2)),
-                                     int(m.group(3)), bool(m.group(4)))
+        series, rank, k = m.group(1), int(m.group(2)), int(m.group(3))
+        bad = _capacity_gate(series, rank, k, ns.max_alcove)
+        if bad is not None:
+            return bad
+        other, err = _fingerprint_of(series, rank, k, bool(m.group(4)))
         if err is not None:
             print("no nontrivial Tannakian subgroup for --vs target",
                   file=sys.stderr)
@@ -590,7 +592,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         if hasattr(ns, "series"):       # every subcommand but verify
-            bad = _capacity_gate(ns)
+            bad = _capacity_gate(ns.series, ns.rank, ns.k, ns.max_alcove)
             if bad is not None:
                 return bad
         return ns.fn(ns)

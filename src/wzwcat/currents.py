@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -149,8 +148,7 @@ class CurrentGroup:
         self.charges = {j: monodromy_charges(self.md, j, self.actions[j])
                         for j in self.indices}
         assert self.indices[0] == 0
-        if any(self.actions[j][i] not in self.indices
-               for j in self.indices for i in self.indices):
+        if self.generated(self.indices) != self.indices:
             raise AssertionError("invertibles not closed under fusion")
 
     @property
@@ -167,15 +165,25 @@ class CurrentGroup:
     def twist(self, j: int) -> RationalAngle:
         return self.md.twists[j]
 
+    def generated(self, gens) -> tuple:
+        """The indices reached from the unit by the actions of gens, sorted:
+        the subgroup they generate when they are currents."""
+        sub, layer = {0}, [0]
+        while layer:
+            layer = {self.actions[g][i] for g in gens for i in layer} - sub
+            sub |= layer
+        return tuple(sorted(sub))
+
     def subgroups(self) -> list:
-        """All subgroups, as sorted index tuples (unit always included)."""
-        rest = [j for j in self.indices if j != 0]
-        found = {(0,)}
-        for r in range(1, len(rest) + 1):
-            for extra in combinations(rest, r):
-                sub = (0,) + extra
-                if all(self.actions[a][b] in sub for a in sub for b in sub):
-                    found.add(tuple(sorted(sub)))
+        """All subgroups, as sorted index tuples (unit always included):
+        those generated by a pair of currents.  The group is cyclic or
+        Z2 x Z2 (the centre of the simply connected group, Bourbaki, Lie
+        Groups ch. VI, Planches; Z2 at E8 level 2), and no subgroup of a
+        finite abelian group needs more generators than the group."""
+        found = {self.generated((a, b))
+                 for a in self.indices for b in self.indices if a <= b}
+        if self.indices not in found:
+            raise AssertionError("no two currents generate the group")
         return sorted(found, key=lambda s: (len(s), s))
 
     def tannakian_subgroups(self) -> list:
@@ -195,10 +203,10 @@ class CurrentGroup:
     def check_tannakian(self, subgroup) -> tuple:
         """subgroup as a sorted index tuple, or ValueError unless it is a
         fusion-closed set of invertibles with every twist trivial."""
-        sub = tuple(sorted(subgroup))
+        sub = tuple(sorted(set(subgroup)))
         if any(j not in self.indices for j in sub):
             raise ValueError("subgroup contains non-invertible indices")
-        if any(self.actions[a][b] not in sub for a in sub for b in sub):
+        if self.generated(sub) != sub:
             raise ValueError("subgroup is not closed under fusion")
         bad = [j for j in sub if not self.twist(j).is_trivial]
         if bad:

@@ -91,35 +91,25 @@ def _cartan_and_d(series: str, n: int):
 
 
 def _positive_roots(cartan, n):
-    """Closure of the simple roots under root strings, sorted by height."""
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    found = set(simple)
-    layer = list(simple)
-    out = list(simple)
+    """Closure of the simple roots under upward simple reflections, sorted
+    by height.  Where <c, alpha_i^vee> < 0, s_i c = c - <c, alpha_i^vee>
+    alpha_i is a higher positive root.  Every other positive root beta has
+    some <beta, alpha_i^vee> > 0, as (beta, beta) > 0, and then s_i beta is
+    a lower positive root, so the closure reaches it by induction on height.
+    """
+    found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    layer = list(found)
     while layer:
         nxt = []
         for c in layer:
-            labels = [sum(c[j] * cartan[j][i] for j in range(n)) for i in range(n)]
             for i in range(n):
-                # depth p of the down-string through c in direction alpha_i
-                p = 0
-                probe = list(c)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in found:
-                        break
-                    p += 1
-                if p - labels[i] >= 1:
-                    cand = list(c)
-                    cand[i] += 1
-                    cand = tuple(cand)
-                    if cand not in found:
-                        found.add(cand)
-                        nxt.append(cand)
-                        out.append(cand)
+                p = sum(c[j] * cartan[j][i] for j in range(n))
+                up = c[:i] + (c[i] - p,) + c[i + 1:]
+                if p < 0 and up not in found:
+                    found.add(up)
+                    nxt.append(up)
         layer = nxt
-    out.sort(key=lambda c: (sum(c), c))
-    return tuple(out)
+    return tuple(sorted(found, key=lambda c: (sum(c), c)))
 
 
 def _invert_fraction_matrix(a):

@@ -9,6 +9,7 @@ point of the exercise.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -64,11 +65,10 @@ class ObstructionReport:
     dim_beta: float
     min_nonfree_dim: float   # inf when H fixes nothing
     inequality_holds: bool   # min_nonfree^2 > |Z|^2 dim(beta)
-    verdict: str
 
-    def __post_init__(self):
-        want = VERDICT_BLOCKED if self.inequality_holds else VERDICT_OPEN
-        assert self.verdict == want, "verdict out of sync with inequality"
+    @property
+    def verdict(self) -> str:
+        return VERDICT_BLOCKED if self.inequality_holds else VERDICT_OPEN
 
 
 def check_factorization_obstruction(series: str, rank: int, k: int,
@@ -95,7 +95,6 @@ def check_factorization_obstruction(series: str, rank: int, k: int,
     nonfree = [i for i in range(md.rank) if cg.stabilizer_order(sub, i) > 1]
     dim_beta = float(md.qdims[bi])
     mind = min((float(md.qdims[i]) for i in nonfree), default=math.inf)
-    holds = mind * mind > cg.order ** 2 * dim_beta
     return ObstructionReport(
         series=series, rank=rank, k=k,
         subgroup=tuple(md.weights[j] for j in sub),
@@ -104,8 +103,7 @@ def check_factorization_obstruction(series: str, rank: int, k: int,
         beta_free_simple=cg.stabilizer_order(sub, bi) == 1,
         dim_beta=dim_beta,
         min_nonfree_dim=mind,
-        inequality_holds=holds,
-        verdict=VERDICT_BLOCKED if holds else VERDICT_OPEN,
+        inequality_holds=mind * mind > cg.order ** 2 * dim_beta,
     )
 
 
@@ -258,16 +256,14 @@ def check_E_series_thresholds(series: str) -> dict:
         raise ValueError(f"unknown E-series label {series!r}")
     rs = build_root_system("E", rank)
 
+    @functools.cache
     def classical_pass(k):
         d = float(quantum_dimensions(rs, k, [probe])[0])
         return d * d > center ** 2 * classical
 
-    scan, first_level = [], None
-    for k in range(step, E_SCAN_LIMIT + 1, step):
-        ok = classical_pass(k)
-        scan.append((k, ok))
-        if ok and first_level is None:
-            first_level = k
+    scan = tuple((k, classical_pass(k))
+                 for k in range(step, E_SCAN_LIMIT + 1, step))
+    first_level = next((k for k, ok in scan if ok), None)
     onset_any_k = next(
         (k for k in range(1, E_SCAN_LIMIT + 1) if classical_pass(k)), None)
     direct = []
@@ -278,7 +274,7 @@ def check_E_series_thresholds(series: str) -> dict:
             "probe": probe, "adjoint": adjoint,
             "classical_adjoint_dim": classical,
             "first_level": first_level, "onset_any_k": onset_any_k,
-            "scan": tuple(scan), "direct_window": tuple(direct)}
+            "scan": scan, "direct_window": tuple(direct)}
 
 
 def check_global_dim_identity(n: int, perturb: float = 0.0) -> dict:

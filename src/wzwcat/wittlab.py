@@ -127,8 +127,7 @@ def coincidence_test(a: WittFingerprint, b: WittFingerprint) -> str:
     orientations = _charge_orientations(a, b)
     if not orientations:
         return "central_charge"
-    twists_b = {1: b.twist_multiset,
-                -1: tuple(sorted((-x) % 2 for x in b.twist_multiset))}
+    twists_b = {1: b.twist_multiset, -1: b.reverse().twist_multiset}
     if all(a.twist_multiset != twists_b[o] for o in orientations):
         return "twist_multiset"
     if any(abs(x - y) > _DIM_TOL

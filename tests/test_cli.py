@@ -76,6 +76,19 @@ def test_capacity_gate():
     assert code == cli.EXIT_CAPACITY
 
 
+@pytest.mark.parametrize("argv", [
+    "data A 1 20 --max-alcove 10",
+    "fusion A 1 20 --max-alcove 10",
+    "local A 1 20 --max-alcove 10",
+    "fingerprint A 1 20 --max-alcove 10",
+    "fingerprint A 1 1 --max-alcove 10 --vs A:1:20",   # the target too
+])
+def test_every_command_obeys_the_alcove_cap(argv, capsys):
+    # A1 level 20 has 21 simples, over a cap of 10
+    assert cli.main(argv.split()) == cli.EXIT_CAPACITY
+    assert "21 weights, over the cap 10" in capsys.readouterr().err
+
+
 def test_oversized_smatrix_exits_capacity(capsys):
     # A7 level 8 has 6435 simples, under the alcove cap, but its S-matrix
     # sums 40320 * 6435 * 6436 / 2 Weyl terms; refused before any of it
@@ -131,6 +144,7 @@ def test_internal_check_failure_exits_one_line():
     ("local A 3 4 --subgroup 9,9,9", cli.EXIT_USAGE),
     ("fingerprint A 1 2 --vs A:1", cli.EXIT_USAGE),
     ("data A 1 1000000000", cli.EXIT_CAPACITY),          # level near 1e9
+    ("fingerprint A 1 1 --vs A:1:1000000000", cli.EXIT_CAPACITY),
 ])
 def test_malformed_input_exits_in_one_line(argv, code):
     # 1 GiB of address space: a gate that lists the level would need ~8 GB

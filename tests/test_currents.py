@@ -91,6 +91,47 @@ def test_sl4_level4_tannakian():
     assert cg.twist(j).t == Fraction(1)
 
 
+@pytest.mark.parametrize("case, group, count", [
+    (("A", 19, 1), (20,), 6),       # Z20: one subgroup per divisor of 20
+    (("D", 5, 1), (4,), 3),         # Z4: orders 1, 2, 4
+    (("D", 6, 1), (2, 2), 5),       # Z2 x Z2: 1, three of order 2, itself
+    (("E", 8, 2), (2,), 2),         # Z2, the fold-route current
+])
+def test_subgroup_counts_from_group_theory(case, group, count):
+    cg = CurrentGroup(ModularData(*case))
+    assert cg.group_id() == group
+    assert len(cg.subgroups()) == count
+
+
+def subgroups_by_subsets(cg):
+    """Reference: every set of currents holding the unit and closed under
+    fusion, by testing all subsets."""
+    rest = [j for j in cg.indices if j != 0]
+    subsets = [(0,) + extra for r in range(len(rest) + 1)
+               for extra in itertools.combinations(rest, r)]
+    found = [s for s in subsets
+             if all(cg.actions[a][b] in s for a in s for b in s)]
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+# the modular_sweep cases of the benchmark that have nontrivial currents
+@pytest.mark.parametrize("case", [
+    ("A", 5, 6), ("E", 6, 2), ("D", 5, 4), ("D", 4, 8), ("A", 3, 12),
+    ("A", 4, 5), ("C", 4, 4), ("C", 3, 8), ("B", 2, 20), ("B", 3, 6),
+    ("B", 4, 4), ("A", 2, 30), ("A", 1, 200),
+])
+def test_subgroups_match_the_subset_search(case):
+    cg = CurrentGroup(ModularData(*case))
+    assert cg.order > 1
+    ref = subgroups_by_subsets(cg)
+    assert cg.subgroups() == ref
+    tannakian = [s for s in ref if all(cg.twist(j).is_trivial for j in s)]
+    assert cg.tannakian_subgroups() == tannakian
+    # the largest, ties broken lexicographically
+    assert cg.maximal_tannakian() == min(
+        tannakian, key=lambda s: (-len(s), s))
+
+
 def test_d4_level2_full_tannakian():
     # all three simple currents of so8 have trivial twist at k=2, and the
     # bicharacter is trivial on the whole (2,2) group

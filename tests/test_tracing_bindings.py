@@ -3,6 +3,9 @@ that drops one must fail here, not only in a minutes-long traced run."""
 import sys
 from pathlib import Path
 
+import pytest
+
+import wzwcat.cli
 import wzwcat.currents
 from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
@@ -72,3 +75,19 @@ def test_local_census_builds_no_smatrix():
     assert metrics["modular.weyl_terms"] == 0
     assert metrics["modular.verlinde_matrix_calls"] == 0
     assert metrics["fusion.rows"] == 0
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["verify", "thm1", "--range", "C"], 2),    # sp6 and sp8 at level 3
+    (["verify", "witt", "--range", "emb"], 1),
+])
+def test_verify_counts_each_selected_check(argv, checks, capsys):
+    # the tracer wraps the checks that cli._thm1_checks and cli._witt_checks
+    # return; each selected check that runs is one span
+    tracer = _tracer()
+    try:
+        tracer.install()
+        assert wzwcat.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["verifier.checks"] == checks
