@@ -37,8 +37,11 @@ _SERIES_RANK_OK = {
 }
 
 
-class DimensionCapError(ValueError):
-    """Classical dimension of a requested representation exceeds the cap."""
+class CapacityError(ValueError):
+    """A requested computation exceeds a configured size cap."""
+
+
+DimensionCapError = CapacityError   # raised by the dimension, |W| and S caps
 
 
 def _simply_laced_edges(series: str, n: int):

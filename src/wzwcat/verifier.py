@@ -1,5 +1,6 @@
 """Mechanical case analysis: factorization obstructions, dimension
-thresholds, rank censuses, and brute-force fusion-subcategory lattices.
+thresholds, rank censuses, brute-force fusion-subcategory lattices, and
+the named check suites (thm1_checks, witt_checks) that `wzwcat verify` runs.
 
 Family threshold checks run on closed-form quantum dimensions and exact
 twists, so they stay fast even at levels (E6 at k=123) where alcove
@@ -15,20 +16,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import wittlab
 from .alcove import make_alcove, qint, quantum_dimensions
 from .currents import CurrentGroup
 from .fusion import FusionTensor
 from .localmods import LocalCategoryData
-from .modular import ModularData
-from .rootsys import build_root_system
+from .modular import ModularData, RationalAngle
+from .rootsys import CapacityError, build_root_system
 
 VERDICT_BLOCKED = "no_exceptional_factorization_possible"
 VERDICT_OPEN = "inconclusive"
 E_SCAN_LIMIT = 150         # last level of the E6/E7 threshold scans
-
-
-class CapacityError(ValueError):
-    """Requested brute-force search exceeds the configured size cap."""
 
 
 def _omega(rank: int, i: int, mult: int = 1) -> tuple:
@@ -447,3 +445,112 @@ def enumerate_fusion_subcategories(ft: FusionTensor,
         _assert_closed(ft, e)
     return SubcatLattice(elements=tuple(order),
                          generators=tuple(found[e] for e in order))
+
+
+# ---------------------------------------------------------------------------
+# check suites: (family, level, name, check) rows, run by `wzwcat verify`
+
+
+_eseries = functools.cache(check_E_series_thresholds)
+
+# the categories whose Gauss phases the closed-form exponents predict
+_GAUSS_FAMILIES = {
+    "so5": lambda k: ModularData("B", 2, k),
+    "g2": lambda k: ModularData("G", 2, k),
+    "so5_local_even": lambda m: LocalCategoryData(ModularData("B", 2, 2 * m)),
+}
+
+
+def _phases_match(family: str) -> bool:
+    """Closed-form xi against the Gauss sum over wittlab.NUMERIC_RANGES."""
+    build = _GAUSS_FAMILIES[family]
+    return all(
+        abs(build(p).gauss_sum_phase
+            - RationalAngle(wittlab.closed_form_exponent(family, p)).value())
+        < 1e-9 for p in wittlab.NUMERIC_RANGES[family])
+
+
+def _suite(rows) -> list:
+    # fresh dicts on every call, so a caller may rewrap each "fn"
+    return [{"family": family, "level": level, "name": name, "fn": fn}
+            for family, level, name, fn in rows]
+
+
+def thm1_checks() -> list:
+    """The factorization-obstruction checks behind Theorem 1."""
+    return _suite((
+        *(("A", n, f"type A midweight ratio exceeds n at (n,k)=({n},{n})",
+           lambda n=n: check_typeA_midweight_ratio(n, n)[1])
+          for n in range(10, 19)),
+        ("A", 9, "type A n=9 midweight ratio first exceeds 9 at k=13",
+         lambda: [k for k in range(9, 17)
+                  if check_typeA_midweight_ratio(9, k)[1]][0] == 13),
+        ("A", 9, "type A n=9 non-free minimum blocks levels 9 and 12",
+         lambda: all(check_typeA_nonfree_minimum(9, k)["passed"]
+                     for k in (9, 12))),
+        ("A", 31, "type A n=8 ratio exceeds 8 at k=31",
+         lambda: check_typeA_midweight_ratio(8, 31)[0] > 8),
+        ("A", 8, "sl4 level-8 fixed-point census matches the closed form",
+         lambda: all(check_sl4_fixed_census(1, numeric=True)["numeric"][key]
+                     for key in ("fixed_matches", "halffixed_matches",
+                                 "nonfree_matches", "rank_exceeds_cap"))),
+        ("B", 5, "type B dim(beta) exceeds 4 at so7 level 5",
+         lambda: check_typeB_threshold(3, 5)["exceeds_4"]),
+        ("B", 5, "type B bracket form matches the product formula",
+         lambda: check_typeB_threshold(3, 5)["bracket_residual"] < 1e-9),
+        ("B", 5, "so7 level 5 factorization verdict is blocked",
+         lambda: check_factorization_obstruction("B", 3, 5).verdict
+         == VERDICT_BLOCKED),
+        *(("C", 3, f"type C candidate minimum exceeds 4 at sp{2*n} level 3",
+           lambda n=n: check_typeC_threshold(n, 3)["exceeds_4"])
+          for n in (3, 4)),
+        *(("D", k, f"type D candidate minimum exceeds {thr} at so{2*n} "
+           f"level {k}",
+           lambda n=n, k=k, thr=thr:
+           check_typeD_threshold(n, k)["candidate_min"] > thr)
+          for n, k, thr in ((5, 4, 5), (5, 8, 18), (4, 4, 5), (4, 10, 16),
+                            (6, 8, 16))),
+        *(("B", 4, f"level-4 so({2*n+1}) global dim matches csc^4 closed form",
+           lambda n=n: check_global_dim_identity(n)["passed"])
+          for n in range(2, 7)),
+        ("E6", 123, "E6 classical threshold onset at level 123",
+         lambda: _eseries("E6")["first_level"] == 123
+         and _eseries("E6")["onset_any_k"] == 123),
+        ("E6", 63, "E6 direct window holds strictly inside (60,123)",
+         lambda: all(ok for k, ok in _eseries("E6")["direct_window"]
+                     if k != 60)
+         and not dict(_eseries("E6")["direct_window"])[60]),
+        ("E7", 15, "E7 classical threshold onset at level 15",
+         lambda: _eseries("E7")["onset_any_k"] == 15),
+        ("E7", 4, "E7 direct checks pass at levels 4, 8, 12",
+         lambda: all(ok for _, ok in _eseries("E7")["direct_window"])),
+    ))
+
+
+def witt_checks() -> list:
+    """The Gauss-phase and central-charge checks behind the Witt relations."""
+    return _suite((
+        ("so5", 12, "so5 closed-form xi matches Gauss sums, k=1..12",
+         lambda: _phases_match("so5")),
+        ("g2", 10, "g2 closed-form xi matches Gauss sums, k=1..10",
+         lambda: _phases_match("g2")),
+        ("so5", 14, "so5 local xi equals the ambient xi, k=2..14 even",
+         lambda: _phases_match("so5_local_even")),
+        ("g2", 40, "g2 charge window (3,7/2) is exactly k>=25",
+         lambda: all(e["in_window"] == (e["param"] >= 25) for e in
+                     wittlab.central_charge_sweep("g2", range(5, 41))
+                     ["entries"])),
+        ("so5", 40, "so5 local charge window (2,5/2) is exactly m>=7",
+         lambda: all(e["in_window"] == (e["param"] >= 7) for e in
+                     wittlab.central_charge_sweep("so5_local_even",
+                                                  range(1, 21))["entries"])),
+        ("emb", 1, "conformal embedding central charges are additive",
+         lambda: all(e["matches"]
+                     for e in wittlab.verify_conformal_embeddings())),
+        ("g2", 7, "rank-20 pair g2 level 7 / so5 level 8 local excluded "
+         "by central charge",
+         lambda: wittlab.coincidence_test(
+             wittlab.fingerprint(ModularData("G", 2, 7)),
+             wittlab.fingerprint(LocalCategoryData(ModularData("B", 2, 8))))
+         == "central_charge"),
+    ))

@@ -1,9 +1,13 @@
+import argparse
 import json
+import os
+import re
 import resource
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,9 @@ def test_internal_check_failure_exits_one_line():
     ("fingerprint A 1 2 --vs A:1", cli.EXIT_USAGE),
     ("data A 1 1000000000", cli.EXIT_CAPACITY),          # level near 1e9
     ("fingerprint A 1 1 --vs A:1:1000000000", cli.EXIT_CAPACITY),
+    ("fingerprint D 4 4 --format json", cli.EXIT_USAGE),  # no such options
+    ("local A 3 4 --cache-dir X", cli.EXIT_USAGE),
+    ("fusion A 1 2 --cache-dir X", cli.EXIT_USAGE),
 ])
 def test_malformed_input_exits_in_one_line(argv, code):
     # 1 GiB of address space: a gate that lists the level would need ~8 GB
@@ -157,6 +164,79 @@ def test_malformed_input_exits_in_one_line(argv, code):
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_vs_is_refused_before_any_work(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "ModularData", lambda *args: built.append(args))
+    argv = ["fingerprint", "A", "3", "12", "--vs", "junk"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert built == []
+    assert "bad --vs spec 'junk'" in capsys.readouterr().err
+
+
+def test_unwritable_outputs_exit_usage_in_one_line(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    missing = str(tmp_path / "missing" / "out.txt")
+    for argv in (["data", "A", "1", "2", "--out", missing],
+                 ["verify", "witt", "--range", "emb", "--out", missing],
+                 ["data", "A", "1", "2", "--format", "json",
+                  "--cache-dir", str(not_a_dir)],
+                 ["data", "A", "1", "2", "--format", "json",
+                  "--cache-dir", str(not_a_dir / "sub")]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not_a_dir.read_text() == ""
+
+
+@pytest.mark.parametrize("no_fd1", [False, True])
+def test_closed_stdout_exits_quietly(no_fd1):
+    # the pipe's reading end is closed before the command starts, so its
+    # first write to stdout fails with EPIPE; with no fd 1 at all, Python
+    # starts with sys.stdout None
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wzwcat.cli",
+                               "local", "A", "3", "4"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True,
+                              preexec_fn=(lambda: os.close(1)) if no_fd1
+                              else None)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stderr == ""
+
+
+def test_readme_documents_exactly_the_accepted_options():
+    # each subcommand's options are its synopsis line's flags, plus the
+    # common flags when it takes SERIES RANK K
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    synopsis = {}
+    for line in section.split("```")[1].strip().splitlines():
+        if line.startswith("wzwcat "):
+            name = line.split()[1]
+            synopsis[name] = line
+        else:
+            synopsis[name] += line
+    (common,) = [p for p in section.split("\n\n")
+                 if p.startswith("Common flags")]
+    common_flags = set(re.findall(r"`(--[a-z][a-z-]*)", common))
+    assert common_flags
+    (commands,) = [a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(synopsis) == set(commands.choices)
+    for name, sub in commands.choices.items():
+        accepted = {opt for a in sub._actions
+                    if not isinstance(a, argparse._HelpAction)
+                    for opt in a.option_strings}
+        documented = set(re.findall(r"--[a-z][a-z-]*", synopsis[name]))
+        if "SERIES RANK K" in synopsis[name]:
+            documented |= common_flags
+        assert accepted == documented, name
 
 
 def test_usage_errors():

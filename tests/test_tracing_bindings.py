@@ -91,3 +91,17 @@ def test_verify_counts_each_selected_check(argv, checks, capsys):
     finally:
         tracer.uninstall()
     assert tracer.metrics()["verifier.checks"] == checks
+
+
+def test_each_verify_run_wraps_fresh_checks(capsys):
+    # cmd_verify calls through cli._thm1_checks, and each call returns new
+    # check dicts: a second run under the same tracer is two more spans, not
+    # two spans wrapped twice
+    tracer = _tracer()
+    try:
+        tracer.install()
+        for _ in range(2):
+            assert wzwcat.cli.main(["verify", "thm1", "--range", "C"]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.metrics()["verifier.checks"] == 4
