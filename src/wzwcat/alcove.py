@@ -47,7 +47,10 @@ class Alcove:
     k: int
     weights: tuple = field(init=False)
     index: dict = field(init=False)
-    # fusion blocks by expanded factor, filled by fusion.fuse_weights
+    # filled by fusion.fuse_weights: the orbit data of the currents, and
+    # the folded products of each orbit representative that is expanded
+    # with the representatives after it, by representative
+    _orbits: tuple = field(init=False, default=None, repr=False)
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -109,6 +112,28 @@ class Alcove:
     def weyl_dims(self) -> list:
         """Weyl dimension of each weight, by alcove index."""
         return weyl_dimensions(self.rs, self.labels)
+
+    @functools.cached_property
+    def current_actions(self) -> np.ndarray:
+        """Alcove permutation of each diagram current, as the rows of a
+        (|Z|, rank) int64 array: the unit first, then J = k omega_n for
+        each node n of mark 1 in node order, so column 0 holds the
+        currents' indices.  J.lambda = k omega_n + w0^(n) w0 lambda, with
+        w0^(n) the longest element of the Levi subgroup without node n."""
+        rs, k = self.rs, self.k
+        nodes = range(rs.rank)
+        w0 = longest_element(rs, nodes)
+        rows = [np.arange(self.rank)]
+        for node in nodes:
+            if rs.marks[node] != 1:
+                continue
+            a = longest_element(rs, [i for i in nodes if i != node]) @ w0
+            image = self.labels @ a.T
+            image[:, node] += k
+            if (image < 0).any() or (image @ rs.comarks > k).any():
+                raise AssertionError(f"action of node {node} leaves the alcove")
+            rows.append(self.lookup(image))
+        return np.array(rows)
 
     def lookup(self, labels) -> np.ndarray:
         """Alcove index of each row of labels, an (N, rank) int array of

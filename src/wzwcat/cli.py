@@ -203,6 +203,18 @@ def _capacity_gate(series: str, rank: int, k: int, limit: int) -> None:
             f"alcove has at least {n} weights, over the cap {limit}")
 
 
+def _check_out(path: str) -> None:
+    """OSError unless an --out file at path could be written: its
+    directory exists and is writable, and path is no directory.  Nothing is
+    created or truncated; _emit writes the file once the text is ready."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OSError(f"--out {path!r}: no directory {parent!r}")
+    target = path if os.path.exists(path) else parent
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"--out {path!r} cannot be written")
+
+
 def _emit(ns, text: str) -> None:
     if ns.out:
         Path(ns.out).write_text(text if text.endswith("\n") else text + "\n")
@@ -216,7 +228,11 @@ def _parse_subgroup(md: ModularData, spec: str):
         return None
     idxs = []
     for part in spec.split(";"):
-        labels = tuple(int(x) for x in part.strip("() ").split(","))
+        try:
+            labels = tuple(int(x) for x in part.strip("() ").split(","))
+        except ValueError:
+            raise ValueError(f"bad --subgroup {spec!r} (want auto or "
+                             "labels like '0,4,0;0,0,0')") from None
         if labels not in md.alcove.index:
             raise ValueError(f"{labels} is not an alcove weight")
         idxs.append(md.alcove.index[labels])
@@ -465,6 +481,8 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         ns = _build_parser().parse_args(argv)
+        if ns.out:          # refused before the work, not after it
+            _check_out(ns.out)
         if hasattr(ns, "series"):       # every subcommand but verify
             _capacity_gate(ns.series, ns.rank, ns.k, ns.max_alcove)
         ns.fn(ns)

@@ -3,10 +3,11 @@
 A current J = k omega_n, for a node n of mark 1, acts on the alcove by an
 automorphism of the affine Dynkin diagram, J.lambda = k omega_n +
 w0^(n) w0 lambda, where w0 lambda = -lambda* and w0^(n) is the longest
-element of the Levi subgroup without node n.  Every simple current of a
-WZW model is of this kind except the one at E8 level 2 (Fuchs, Simple WZW
-currents, CMP 136, 1991), which takes its action from the fold route.  No
-action reads the S-matrix, and check_action checks each one exactly.
+element of the Levi subgroup without node n; Alcove.current_actions
+computes these actions.  Every simple current of a WZW model is of this
+kind except the one at E8 level 2 (Fuchs, Simple WZW currents, CMP 136,
+1991), which takes its action from the fold route.  No action reads the
+S-matrix, and check_action checks each one exactly.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .rootsys import longest_element
 
 if TYPE_CHECKING:
     from .modular import ModularData, RationalAngle
@@ -31,19 +30,10 @@ class NotInvertibleError(ValueError):
 def current_action(md: ModularData, j: int) -> tuple:
     """Permutation p with p[i] = index of X_j (x) X_i; NotInvertibleError
     if X_j is not a simple current."""
-    rs, k, alc, lam = md.rs, md.k, md.alcove, md.weights[j]
-    node = lam.index(k) if sum(lam) == k and k in lam else None
-    # the unit is the affine node's current: k omega_0 = 0 and w0^(0) = w0
-    if not any(lam) or (node is not None and rs.marks[node] == 1):
-        nodes = range(rs.rank)
-        a = (longest_element(rs, [i for i in nodes if i != node])
-             @ longest_element(rs, nodes))
-        image = alc.labels @ a.T
-        if node is not None:
-            image[:, node] += k
-        if (image < 0).any() or (image @ rs.comarks > k).any():
-            raise AssertionError(f"action of index {j} leaves the alcove")
-        perm = alc.lookup(image)
+    acts = md.alcove.current_actions
+    row = np.flatnonzero(acts[:, 0] == j)
+    if len(row):
+        perm = acts[row[0]]
     elif abs(md.qdims[j] - 1.0) < POINTED_TOL:     # E8 level 2
         perm = np.array([next(iter(md.fusion.row(j, i)))
                          for i in range(md.rank)])

@@ -16,37 +16,68 @@ FOLD_CHUNK = 4096   # points per Alcove.fold call
 
 
 def fuse_weights(alc: Alcove, lam, gamma) -> dict:
-    """Multiplicities of the product lam x gamma as {alcove weight: N}.
+    """Multiplicities of the product lam x gamma as {alcove weight: N}, in
+    no particular order.
 
-    lam and gamma are alcove weights.  The factor e with the smaller
-    (Weyl dimension, index) is expanded.  The first product that expands e
-    folds e's weight system against every partner that expands e, in one
-    block cached on the alcove; later products are lookups in that block.
+    lam and gamma are alcove weights.  Simple currents act on the alcove
+    by affine Dynkin diagram automorphisms, so N_{Ja,J'b}^{JJ'c} = N_ab^c
+    (Fuchs, CMP 136, 1991): only products of current-orbit representatives
+    are folded, and every other product is one of those relabelled by the
+    composed action of the two currents.  Of the two representatives, the
+    one e with the smaller (Weyl dimension, index) is expanded.  The first
+    product that expands e folds e's weight system against every later
+    representative, in one block cached on the alcove; later products are
+    lookups in that block.
     """
-    dims = alc.weyl_dims
-    e, b = sorted((alc.index[tuple(lam)], alc.index[tuple(gamma)]),
-                  key=lambda x: (dims[x], x))
+    if alc._orbits is None:
+        alc._orbits = _current_orbits(alc)
+    order, rep, move, names = alc._orbits
+    i, j = alc.index[tuple(lam)], alc.index[tuple(gamma)]
+    e, b = rep[i], rep[j]
+    if order[b] < order[e]:
+        e, b = b, e
     block = alc._blocks.get(e)
     if block is None:
         block = alc._blocks[e] = _fold_block(alc, e)
     position, bounds, labels, counts = block
     p = position[b]
     lo, hi = bounds[p], bounds[p + 1]
-    w = alc.weights
+    w = names[move[i]][move[j]]
     return {w[l]: c for l, c in zip(labels[lo:hi], counts[lo:hi])}
 
 
+def _current_orbits(alc: Alcove) -> tuple:
+    """(order, rep, move, names) for the orbits of the diagram currents,
+    as plain lists: order[a] is a's position in (Weyl dimension, index)
+    order, rep[a] the orbit's representative, the weight of least order,
+    and move[a] the row of alc.current_actions taking rep[a] to a.
+    names[g][h][l] is the weight that the composed action of rows g and h
+    takes index l to; pairs with the same composite share one list."""
+    acts, n, dims = alc.current_actions, alc.rank, alc.weyl_dims
+    order = np.empty(n, dtype=np.int64)
+    order[sorted(range(n), key=lambda x: (dims[x], x))] = np.arange(n)
+    rep = acts[order[acts].argmin(axis=0), np.arange(n)]
+    move = (acts[:, rep] == np.arange(n)).argmax(axis=0)
+    # the composite of two currents is the current that takes the unit
+    # where the pair does
+    row = {c: g for g, c in enumerate(acts[:, 0].tolist())}
+    moved = [[alc.weights[x] for x in perm] for perm in acts.tolist()]
+    names = [[moved[row[int(ga[c])]] for c in acts[:, 0]] for ga in acts]
+    return order.tolist(), rep.tolist(), move.tolist(), names
+
+
 def _fold_block(alc: Alcove, e: int) -> tuple:
-    """Every product e x b where e is the factor to expand, as
-    ({b: position}, row bounds, alcove indices, coefficients): the products
-    of the partner at position p are entries bounds[p]:bounds[p + 1].
+    """Every product e x b of the representative e, which is expanded,
+    with a representative b of order at least e's, as ({b: position}, row
+    bounds, alcove indices, coefficients): the products of the partner at
+    position p are entries bounds[p]:bounds[p + 1].
 
     Partners are taken in groups small enough that a group's points and
     its dense (partners x alcove) sums each fit FOLD_CHUNK, unless one
     partner's weight system or one row alone is larger.
     """
-    n, dims = alc.rank, alc.weyl_dims
-    partners = [b for b in range(n) if (dims[b], b) >= (dims[e], e)]
+    n, (order, rep) = alc.rank, alc._orbits[:2]
+    partners = [b for b in range(n) if rep[b] == b and order[b] >= order[e]]
     ws = weight_system(alc.rs, alc.weights[e])
     nus, mult = ws["point"], ws["mult"]
     base = np.array([alc.weights[b] for b in partners], dtype=np.int64)

@@ -158,11 +158,10 @@ class ModularData:
         b >= a are summed, over chunks of W whose working arrays fit
         SMATRIX_CHUNK_BYTES.
         """
-        rs, n, r, k = self.rs, self.rank, self.rs.rank, self.k
-        # the diagram currents: the unit, and k omega_node for each node of
-        # mark 1, with their actions as the rows of one array
-        js = [0] + [self.alcove.index[tuple(k * (i == node) for i in range(r))]
-                    for node in range(r) if rs.marks[node] == 1]
+        rs, n, r = self.rs, self.rank, self.rs.rank
+        # the diagram currents, unit first, with their checked actions as
+        # the rows of one array
+        js = self.alcove.current_actions[:, 0].tolist()
         acts = np.array([np.arange(n)] + [self.current_action(j)
                                           for j in js[1:]])
         rep, reps = currents.orbit_reps(acts)

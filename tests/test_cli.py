@@ -73,6 +73,11 @@ def test_explicit_subgroup(capsys):
     assert "rank 3" in capsys.readouterr().out
     # a non-Tannakian choice is a usage error
     assert cli.main(["local", "A", "1", "2", "--subgroup", "2"]) == cli.EXIT_USAGE
+    # a label that is no integer is one too, and the message names the option
+    capsys.readouterr()
+    assert cli.main(["local", "A", "3", "4", "--subgroup", "x"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "bad --subgroup 'x' (want auto or labels like '0,4,0;0,0,0')\n")
 
 
 def test_capacity_gate():
@@ -146,6 +151,7 @@ def test_internal_check_failure_exits_one_line():
     ("data G 2 3 --max-alcove 0", cli.EXIT_CAPACITY),    # refuses all
     ("verify thm1 --range A:k<", cli.EXIT_USAGE),
     ("local A 3 4 --subgroup 9,9,9", cli.EXIT_USAGE),
+    ("local A 3 4 --subgroup x", cli.EXIT_USAGE),
     ("fingerprint A 1 2 --vs A:1", cli.EXIT_USAGE),
     ("data A 1 1000000000", cli.EXIT_CAPACITY),          # level near 1e9
     ("fingerprint A 1 1 --vs A:1:1000000000", cli.EXIT_CAPACITY),
@@ -173,6 +179,31 @@ def test_malformed_vs_is_refused_before_any_work(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert built == []
     assert "bad --vs spec 'junk'" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                  capsys):
+    built = []
+    monkeypatch.setattr(cli, "ModularData", lambda *args: built.append(args))
+    missing = str(tmp_path / "missing" / "x")
+    for argv in (["fingerprint", "A", "3", "12", "--out", missing],
+                 ["data", "A", "3", "12", "--format", "json", "--out", missing],
+                 ["local", "A", "3", "12", "--out", missing],
+                 ["fusion", "A", "3", "12", "--out", str(tmp_path)]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--out" in err
+    assert built == []
+
+
+def test_out_file_is_kept_when_the_command_fails(tmp_path):
+    # C(A1,1) has no nontrivial Tannakian subgroup (h = 1/4), which is
+    # found after the --out check: the file is not truncated before that
+    out = tmp_path / "x"
+    out.write_text("kept")
+    assert cli.main(["local", "A", "1", "1", "--out", str(out)]) == \
+        cli.EXIT_NO_SUBGROUP
+    assert out.read_text() == "kept"
 
 
 def test_unwritable_outputs_exit_usage_in_one_line(tmp_path, capsys):

@@ -122,9 +122,11 @@ def test_block_rows_match_scalar_folds(chunk, monkeypatch):
     # every product read from the cached blocks equals the Kac-Walton sum
     # over the weight system of either factor, folded one point at a time
     # by the scalar reference fold; a chunk of 7 points splits blocks into
-    # one partner per group and each partner into several folds
+    # one partner per group and each partner into several folds.  D4 k2
+    # has two non-identity currents that compose (Z2 x Z2), A4 k2 a Z5
     monkeypatch.setattr(fusion, "FOLD_CHUNK", chunk)
-    for series, rank, k in [("B", 2, 3), ("G", 2, 3), ("A", 3, 2)]:
+    for series, rank, k in [("B", 2, 3), ("G", 2, 3), ("A", 3, 2),
+                            ("D", 4, 2), ("A", 4, 2)]:
         a = make_alcove(series, rank, k)
         for x in a.weights:
             for y in a.weights:
@@ -137,3 +139,31 @@ def test_block_rows_match_scalar_folds(chunk, monkeypatch):
                         direct[w] = direct.get(w, 0) + sign * mult
                 direct = {w: c for w, c in direct.items() if c}
                 assert fuse_weights(a, x, y) == direct
+
+
+# orbits by Burnside's lemma: (weights + fixed points of each non-unit
+# current) / |Z|, the currents permuting the affine labels (a_0, ..., a_r)
+@pytest.mark.parametrize("series, rank, k, orbits", [
+    # Z4 rotates (a0, a1, a2, a3), sum 4: J and J^3 fix (1,1,1,1), J^2
+    # fixes a0 = a2, a1 = a3 (3 points): (35 + 1 + 3 + 1) / 4
+    ("A", 3, 4, 10),
+    # each of the three double transpositions of the outer labels, with
+    # a0 + a1 + a3 + a4 + 2 a2 = 2, fixes 3 points: (11 + 3 * 3) / 4
+    ("D", 4, 2, 5),
+    # J swaps a0 and a1, with a0 + a1 + a2 = 3: fixes (0,0,3), (1,1,1)
+    ("B", 2, 3, 6),
+])
+def test_full_table_expands_one_weight_system_per_current_orbit(
+        series, rank, k, orbits, monkeypatch):
+    # only products of orbit representatives are folded, and each
+    # representative is expanded once, not each of the alcove's weights
+    calls = []
+    build = fusion.weight_system
+
+    def counted(rs, lam):
+        calls.append(tuple(lam))
+        return build(rs, lam)
+
+    monkeypatch.setattr(fusion, "weight_system", counted)
+    list(FusionTensor(make_alcove(series, rank, k)).triples())
+    assert len(calls) == len(set(calls)) == orbits
