@@ -49,7 +49,8 @@ class Alcove:
     index: dict = field(init=False)
     # filled by fusion.fuse_weights: the orbit data of the currents, and
     # the folded products of each orbit representative that is expanded
-    # with the representatives after it, by representative
+    # with the representatives after it, by representative (the only
+    # fusion cache)
     _orbits: tuple = field(init=False, default=None, repr=False)
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
 

@@ -26,6 +26,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import verifier, wittlab
 from .localmods import LocalCategoryData
 from .modular import ModularData
@@ -74,23 +76,24 @@ def _fmt(x: float) -> str:
 
 
 def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dict:
-    """Typed in-memory bundle for one C(g,k)."""
-    s = md.smatrix
+    """Typed in-memory bundle for one C(g,k); S is the complex ndarray."""
     fusion = tuple(md.fusion.triples()) if md.rank <= FUSION_RANK_CAP else None
     return {
         "schema_version": SCHEMA_VERSION,
         "g": (md.rs.series, md.rs.rank),
         "k": md.k,
-        "labels": tuple(md.weights),
+        "labels": md.weights,
         "dims": tuple(float(d) for d in md.qdims),
         "twists": tuple(a.t for a in md.twists),
-        "smatrix": tuple(tuple(complex(z) for z in row) for row in s),
+        "smatrix": md.smatrix,
         "fusion": fusion,
         "local": local.census() if local is not None else None,
     }
 
 
 def bundle_to_json(bundle: dict) -> str:
+    """Deterministic JSON text; tuples are written as arrays, so the
+    tables go out as the bundle holds them."""
     loc = bundle["local"]
     if loc is not None:
         loc = dict(loc)
@@ -99,15 +102,15 @@ def bundle_to_json(bundle: dict) -> str:
         loc["simples"] = [dict(s, qdim=_fmt(s["qdim"])) for s in loc["simples"]]
     payload = {
         "schema_version": bundle["schema_version"],
-        "g": list(bundle["g"]),
+        "g": bundle["g"],
         "k": bundle["k"],
-        "labels": [list(w) for w in bundle["labels"]],
+        "labels": bundle["labels"],
         "dims": [_fmt(d) for d in bundle["dims"]],
         "twists": [[t.numerator, t.denominator] for t in bundle["twists"]],
-        "smatrix": [[[_fmt(z.real), _fmt(z.imag)] for z in row]
+        "smatrix": [[[_fmt(x), _fmt(y)]
+                     for x, y in zip(row.real.tolist(), row.imag.tolist())]
                     for row in bundle["smatrix"]],
-        "fusion": None if bundle["fusion"] is None
-        else [list(t) for t in bundle["fusion"]],
+        "fusion": bundle["fusion"],
         "local": loc,
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -129,9 +132,9 @@ def bundle_from_json(text: str) -> dict:
         "labels": tuple(tuple(w) for w in raw["labels"]),
         "dims": tuple(float(d) for d in raw["dims"]),
         "twists": tuple(Fraction(n, d) for n, d in raw["twists"]),
-        "smatrix": tuple(tuple(complex(float(re_), float(im_))
-                               for re_, im_ in row)
-                         for row in raw["smatrix"]),
+        # the (re, im) pairs as complex128, bit for bit (negative zeros too)
+        "smatrix": np.array(raw["smatrix"], np.float64
+                            ).view(np.complex128)[..., 0],
         "fusion": None if raw["fusion"] is None
         else tuple(tuple(t) for t in raw["fusion"]),
         "local": loc,
@@ -275,21 +278,18 @@ def cmd_data(ns) -> None:
 
 def cmd_fusion(ns) -> None:
     md = ModularData(ns.series, ns.rank, ns.k)
-    triples = list(md.fusion.triples())
+    triples = md.fusion.triples()
     if ns.format == "json":
         _emit(ns, json.dumps(
             {"g": [ns.series, ns.rank], "k": ns.k,
-             "labels": [list(w) for w in md.weights],
-             "fusion": [list(t) for t in triples]},
+             "labels": md.weights, "fusion": list(triples)},
             sort_keys=True, separators=(",", ":")))
         return
-    lines = [f"C({md.rs.name},{md.k}) fusion, {len(triples)} nonzero "
-             "coefficients (i <= j)"]
-    for i, j, l, n in triples:
-        lines.append(f"{_label_str(md.weights[i])} * "
-                     f"{_label_str(md.weights[j])} -> "
-                     f"{_label_str(md.weights[l])}  x{n}")
-    _emit(ns, "\n".join(lines))
+    names = [_label_str(w) for w in md.weights]
+    lines = [f"{names[i]} * {names[j]} -> {names[l]}  x{n}"
+             for i, j, l, n in triples]
+    _emit(ns, "\n".join([f"C({md.rs.name},{md.k}) fusion, {len(lines)} "
+                         "nonzero coefficients (i <= j)", *lines]))
 
 
 def _structure_str(struct) -> str:
@@ -469,6 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _FAILURES = (
     (BrokenPipeError, EXIT_OK, None),
     (CapacityError, EXIT_CAPACITY, "capacity exceeded: "),
+    (MemoryError, EXIT_CAPACITY, "out of memory: "),
     (NoSubgroupError, EXIT_NO_SUBGROUP, ""),
     (ChecksFailed, EXIT_CHECK, "failing: "),
     (AssertionError, EXIT_CHECK, "internal check failed: "),  # a bug

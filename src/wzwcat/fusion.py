@@ -109,22 +109,17 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
 
 
 class FusionTensor:
-    """All coefficients N_{ij}^l for an alcove, computed once and reused."""
+    """All coefficients N_{ij}^l of an alcove, read on demand from the
+    alcove's fold blocks, its only fusion cache."""
 
     def __init__(self, alc: Alcove):
         self.alcove = alc
-        self._rows: dict = {}
 
     def row(self, i: int, j: int) -> dict:
-        """{l: N_{ij}^l} by alcove index."""
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        if key not in self._rows:
-            alc = self.alcove
-            prod = fuse_weights(alc, alc.weights[i], alc.weights[j])
-            self._rows[key] = {alc.index[w]: c for w, c in prod.items()}
-        return self._rows[key]
+        """{l: N_{ij}^l} by alcove index, in no particular order."""
+        alc = self.alcove
+        prod = fuse_weights(alc, alc.weights[i], alc.weights[j])
+        return {alc.index[w]: c for w, c in prod.items()}
 
     def matrix(self, i: int) -> np.ndarray:
         """N_i acting on the fusion ring, (N_i)_{jl} = N_{ij}^l."""
@@ -141,7 +136,7 @@ class FusionTensor:
         for i in range(r):
             for j in range(i, r):
                 for l, n in sorted(self.row(i, j).items()):
-                    yield i, j, l, int(n)
+                    yield i, j, l, n
 
     def is_multiplicity_free(self) -> bool:
         return all(n <= 1 for *_, n in self.triples())

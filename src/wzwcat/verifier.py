@@ -378,26 +378,19 @@ class SubcatLattice:
 
 
 def _closure(ft: FusionTensor, seed) -> tuple:
-    """Smallest unit-containing, dual- and fusion-closed superset."""
+    """Smallest unit-containing, dual- and fusion-closed superset, layer by
+    layer: each new member is dualised once and multiplied once with every
+    member, itself included."""
     duals = ft.alcove.duals.tolist()
-    members = {0} | set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for i in sorted(members):
-            d = duals[i]
-            if d not in members:
-                members.add(d)
-                changed = True
-        snapshot = sorted(members)
-        for a in snapshot:
-            for b in snapshot:
-                if b < a:
-                    continue
-                for l in ft.row(a, b):
-                    if l not in members:
-                        members.add(l)
-                        changed = True
+    members, layer = set(), {0, *seed}
+    while layer:
+        fresh = set()
+        for a in layer:
+            members.add(a)
+            fresh.add(duals[a])
+            for b in members:
+                fresh.update(ft.row(a, b))
+        layer = fresh - members
     return tuple(sorted(members))
 
 

@@ -9,9 +9,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wzwcat import cli
+from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
 
 
@@ -44,6 +46,103 @@ def test_data_json_roundtrip(capsys):
     assert cli.bundle_to_json(bundle) == text.strip()
     direct = cli.build_bundle(ModularData("A", 3, 4))
     assert cli.bundle_to_json(direct) == text.strip()
+
+
+def _reference_data_json(md, local=None):
+    # the bundle as first built and written: S as tuples of complex, and
+    # every table copied into lists before json.dumps
+    fusion = (tuple(md.fusion.triples()) if md.rank <= cli.FUSION_RANK_CAP
+              else None)
+    loc = local.census() if local is not None else None
+    if loc is not None:
+        loc = dict(loc)
+        loc["global_dim"] = cli._fmt(loc["global_dim"])
+        loc["closure_residual"] = cli._fmt(loc["closure_residual"])
+        loc["simples"] = [dict(s, qdim=cli._fmt(s["qdim"]))
+                          for s in loc["simples"]]
+    smatrix = tuple(tuple(complex(z) for z in row) for row in md.smatrix)
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "g": [md.rs.series, md.rs.rank],
+        "k": md.k,
+        "labels": [list(w) for w in md.weights],
+        "dims": [cli._fmt(float(d)) for d in md.qdims],
+        "twists": [[a.t.numerator, a.t.denominator] for a in md.twists],
+        "smatrix": [[[cli._fmt(z.real), cli._fmt(z.imag)] for z in row]
+                    for row in smatrix],
+        "fusion": None if fusion is None else [list(t) for t in fusion],
+        "local": loc,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("g", ["A 3 4", "C 3 4", "D 4 4", "G 2 10"])
+def test_data_json_matches_the_list_copying_reference(g, capsys):
+    series, rank, k = g.split()
+    assert cli.main(["data", series, rank, k, "--format", "json"]) == 0
+    md = ModularData(series, int(rank), int(k))
+    assert capsys.readouterr().out == _reference_data_json(md) + "\n"
+
+
+def test_local_json_matches_the_list_copying_reference(capsys):
+    assert cli.main(["local", "A", "3", "4", "--format", "json"]) == 0
+    md = ModularData("A", 3, 4)
+    expected = _reference_data_json(md, local=LocalCategoryData(md))
+    assert capsys.readouterr().out == expected + "\n"
+
+
+@pytest.mark.parametrize("g", ["B 2 6", "E 8 2"])
+def test_fusion_json_matches_the_list_copying_reference(g, capsys):
+    series, rank, k = g[0], int(g[2]), int(g[4])
+    assert cli.main(["fusion", *g.split(), "--format", "json"]) == 0
+    md = ModularData(series, rank, k)
+    expected = json.dumps(
+        {"g": [series, rank], "k": k,
+         "labels": [list(w) for w in md.weights],
+         "fusion": [list(t) for t in md.fusion.triples()]},
+        sort_keys=True, separators=(",", ":"))
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_bundle_smatrix_round_trips_bit_for_bit():
+    bundle = cli.build_bundle(ModularData("A", 3, 4))
+    built = bundle["smatrix"]
+    read = cli.bundle_from_json(cli.bundle_to_json(bundle))["smatrix"]
+    # S of A3 k4 has negative zeros; a product of the pairs with [1, 1j]
+    # would turn them into +0.0
+    parts = built.view(np.float64)
+    assert ((parts == 0) & np.signbit(parts)).any()
+    assert read.dtype == built.dtype and read.shape == built.shape
+    assert (read.view(np.int64) == built.view(np.int64)).all()
+
+
+def test_out_of_memory_exits_capacity_in_one_line(monkeypatch, capsys):
+    def exhausted(md, local=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_bundle", exhausted)
+    assert cli.main(["data", "A", "1", "2", "--format", "json"]) == \
+        cli.EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("out of memory")
+
+
+def test_fusion_json_fits_300_mib_of_address_space():
+    # the 926 513 triples of A3 level 10 are written as the tensor yields
+    # them, with no per-entry list copies; BLAS threads are pinned so that
+    # the interpreter's own reservation does not grow with the core count
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", "fusion",
+                           "A", "3", "10", "--format", "json"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert proc.stdout.startswith('{"fusion":[[0,0,0,1],')
 
 
 def test_fusion_table(capsys):

@@ -61,6 +61,22 @@ def test_fold_route_counts_rows_and_folds():
     assert metrics["alcove.fold_calls"] > 0
 
 
+def test_every_row_read_is_one_fold_span():
+    # the tensor keeps no rows: the 55 rows of triples() and the 10 x 10 rows
+    # of the ten matrices are each one fuse_weights call
+    tracer = _tracer()
+    try:
+        tracer.install()
+        ft = ModularData("B", 2, 3).fusion
+        list(ft.triples())
+        for i in range(ft.alcove.rank):
+            ft.matrix(i)
+    finally:
+        tracer.uninstall()
+    assert ft.alcove.rank == 10
+    assert tracer.metrics()["fusion.rows"] == 55 + 100
+
+
 def test_local_census_builds_no_smatrix():
     # the four currents of A3 level 4 act by affine Dynkin diagram
     # automorphisms: no Weyl sum, no Verlinde matrix, no fusion row

@@ -187,6 +187,46 @@ def test_subcategory_lattices():
     assert g2.ranks() == (1, 12)
 
 
+def _rescanning_closure(ft, seed):
+    # the closure as first written: rescan every pair of members, and dualise
+    # every member, until a pass adds nothing
+    duals = ft.alcove.duals.tolist()
+    members = {0} | set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for i in sorted(members):
+            d = duals[i]
+            if d not in members:
+                members.add(d)
+                changed = True
+        snapshot = sorted(members)
+        for a in snapshot:
+            for b in snapshot:
+                if b < a:
+                    continue
+                for l in ft.row(a, b):
+                    if l not in members:
+                        members.add(l)
+                        changed = True
+    return tuple(sorted(members))
+
+
+@pytest.mark.parametrize("series, rank, k", [
+    ("A", 3, 4), ("D", 4, 2), ("G", 2, 5), ("B", 2, 3), ("E", 8, 2)])
+def test_layered_closure_matches_rescanning_reference(series, rank, k,
+                                                      monkeypatch):
+    # every seed the lattice closes, single simples and joins alike
+    ft = FusionTensor(make_alcove(series, rank, k))
+    seeds, closure = [], V._closure
+    monkeypatch.setattr(V, "_closure",
+                        lambda ft, seed: seeds.append(seed) or closure(ft, seed))
+    V.enumerate_fusion_subcategories(ft)
+    assert seeds[:ft.alcove.rank] == [(i,) for i in range(ft.alcove.rank)]
+    for seed in seeds:
+        assert closure(ft, seed) == _rescanning_closure(ft, seed)
+
+
 def test_lattice_capacity():
     with pytest.raises(V.CapacityError):
         V.enumerate_fusion_subcategories(FusionTensor(make_alcove("A", 1, 50)))
