@@ -377,13 +377,16 @@ def _parse_range(spec: str):
     return m.group(1), None if m.group(2) is None else int(m.group(2))
 
 
-def _selected(check, flt) -> bool:
+def _selected(checks, flt, suite) -> list:
     if flt is None:
-        return True
+        return checks
     family, bound = flt
-    if check["family"].lower() != family.lower():
-        return False
-    return bound is None or check["level"] < bound
+    families = list(dict.fromkeys(c["family"] for c in checks))
+    if family.lower() not in map(str.lower, families):      # a typo
+        raise ValueError(f"--range {family!r}: no {suite} check has that "
+                         f"family (families: {', '.join(families)})")
+    return [c for c in checks if c["family"].lower() == family.lower()
+            and (bound is None or c["level"] < bound)]
 
 
 def cmd_verify(ns) -> None:
@@ -395,7 +398,7 @@ def cmd_verify(ns) -> None:
         checks += _witt_checks()
     results = [{"family": c["family"], "level": c["level"],
                 "name": c["name"], "passed": bool(c["fn"]())}
-               for c in checks if _selected(c, flt)]
+               for c in _selected(checks, flt, ns.suite)]
     failures = [r["name"] for r in results if not r["passed"]]
     lines = [f"{'PASS' if r['passed'] else 'FAIL'}  "
              f"{r['family']:<4} {r['name']}" for r in results]

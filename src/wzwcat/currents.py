@@ -62,12 +62,16 @@ def monodromy_charges(md: ModularData, j: int, perm) -> np.ndarray:
     return (t[j] + t - t[np.asarray(perm)]) % (2 * period)
 
 
-def orbit_reps(acts) -> tuple:
-    """(rep, reps) for the orbits of the currents whose actions are the
-    rows of the (|H|, n) array acts: rep[i] is the smallest index of the
-    orbit of i, the minimum of column i, and reps the sorted reps."""
-    rep = acts.min(axis=0)
-    return rep, np.flatnonzero(rep == np.arange(acts.shape[1]))
+def orbit_reps(acts, rank) -> tuple:
+    """(rep, reps, move) for the orbits of the currents whose actions are
+    the rows of the (|H|, n) array acts: rep[i] is the member of least
+    rank[.] in column i, the orbit of i, reps the sorted reps, and move[i]
+    the last row taking rep[i] to i (S's phase on a current-fixed weight,
+    where S is about 0, depends on which row)."""
+    n = acts.shape[1]
+    rep = acts[np.asarray(rank)[acts].argmin(axis=0), np.arange(n)]
+    move = len(acts) - 1 - (acts[::-1, rep] == np.arange(n)).argmax(axis=0)
+    return rep, np.flatnonzero(rep == np.arange(n)), move
 
 
 def check_action(md: ModularData, j: int, perm) -> None:

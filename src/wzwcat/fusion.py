@@ -10,29 +10,28 @@ from __future__ import annotations
 import numpy as np
 
 from .alcove import Alcove
+from .currents import orbit_reps
 from .rootsys import weight_system
 
 FOLD_CHUNK = 4096   # points per Alcove.fold call
 
 
-def fuse_weights(alc: Alcove, lam, gamma) -> dict:
-    """Multiplicities of the product lam x gamma as {alcove weight: N}, in
-    no particular order.
+def fuse_weights(alc: Alcove, i: int, j: int) -> dict:
+    """Multiplicities of the product of alcove indices i and j as
+    {alcove index: N}, in no particular order.
 
-    lam and gamma are alcove weights.  Simple currents act on the alcove
-    by affine Dynkin diagram automorphisms, so N_{Ja,J'b}^{JJ'c} = N_ab^c
-    (Fuchs, CMP 136, 1991): only products of current-orbit representatives
-    are folded, and every other product is one of those relabelled by the
-    composed action of the two currents.  Of the two representatives, the
-    one e with the smaller (Weyl dimension, index) is expanded.  The first
-    product that expands e folds e's weight system against every later
-    representative, in one block cached on the alcove; later products are
-    lookups in that block.
+    Simple currents act on the alcove by affine Dynkin diagram
+    automorphisms, so N_{Ja,J'b}^{JJ'c} = N_ab^c (Fuchs, CMP 136, 1991):
+    only products of current-orbit representatives are folded, and every
+    other product is one of those relabelled by the composed action of the
+    two currents.  Of the two representatives, the one e with the smaller
+    (Weyl dimension, index) is expanded.  The first product that expands e
+    folds e's weight system against every later representative, in one
+    block cached on the alcove; later products are lookups in that block.
     """
     if alc._orbits is None:
         alc._orbits = _current_orbits(alc)
-    order, rep, move, names = alc._orbits
-    i, j = alc.index[tuple(lam)], alc.index[tuple(gamma)]
+    order, rep, move, composite = alc._orbits
     e, b = rep[i], rep[j]
     if order[b] < order[e]:
         e, b = b, e
@@ -42,28 +41,26 @@ def fuse_weights(alc: Alcove, lam, gamma) -> dict:
     position, bounds, labels, counts = block
     p = position[b]
     lo, hi = bounds[p], bounds[p + 1]
-    w = names[move[i]][move[j]]
+    w = composite[move[i]][move[j]]
     return {w[l]: c for l, c in zip(labels[lo:hi], counts[lo:hi])}
 
 
 def _current_orbits(alc: Alcove) -> tuple:
-    """(order, rep, move, names) for the orbits of the diagram currents,
-    as plain lists: order[a] is a's position in (Weyl dimension, index)
-    order, rep[a] the orbit's representative, the weight of least order,
-    and move[a] the row of alc.current_actions taking rep[a] to a.
-    names[g][h][l] is the weight that the composed action of rows g and h
-    takes index l to; pairs with the same composite share one list."""
+    """(order, rep, move, composite) for the orbits of the diagram
+    currents, as plain lists: order[a] is a's position in (Weyl dimension,
+    index) order, and rep and move are currents.orbit_reps of the rows of
+    alc.current_actions under that order.  composite[g][h] is the row of
+    alc.current_actions for the composed action of rows g and h."""
     acts, n, dims = alc.current_actions, alc.rank, alc.weyl_dims
     order = np.empty(n, dtype=np.int64)
     order[sorted(range(n), key=lambda x: (dims[x], x))] = np.arange(n)
-    rep = acts[order[acts].argmin(axis=0), np.arange(n)]
-    move = (acts[:, rep] == np.arange(n)).argmax(axis=0)
+    rep, _, move = orbit_reps(acts, order)
     # the composite of two currents is the current that takes the unit
     # where the pair does
-    row = {c: g for g, c in enumerate(acts[:, 0].tolist())}
-    moved = [[alc.weights[x] for x in perm] for perm in acts.tolist()]
-    names = [[moved[row[int(ga[c])]] for c in acts[:, 0]] for ga in acts]
-    return order.tolist(), rep.tolist(), move.tolist(), names
+    rows, units = acts.tolist(), acts[:, 0].tolist()
+    row = {c: g for g, c in enumerate(units)}
+    composite = [[rows[row[ga[c]]] for c in units] for ga in rows]
+    return order.tolist(), rep.tolist(), move.tolist(), composite
 
 
 def _fold_block(alc: Alcove, e: int) -> tuple:
@@ -117,9 +114,7 @@ class FusionTensor:
 
     def row(self, i: int, j: int) -> dict:
         """{l: N_{ij}^l} by alcove index, in no particular order."""
-        alc = self.alcove
-        prod = fuse_weights(alc, alc.weights[i], alc.weights[j])
-        return {alc.index[w]: c for w, c in prod.items()}
+        return fuse_weights(self.alcove, i, j)
 
     def matrix(self, i: int) -> np.ndarray:
         """N_i acting on the fusion ring, (N_i)_{jl} = N_{ij}^l."""

@@ -47,7 +47,7 @@ class LocalCategoryData:
         # one row per current of H; column i is the H-orbit of i
         acts = np.array([cg.actions[h] for h in sub])
         local = ~np.array([cg.charges[h] for h in sub]).any(axis=0)
-        self._rep, heads = orbit_reps(acts)
+        self._rep, heads, _ = orbit_reps(acts, np.arange(md.rank))
         self.orbits = tuple(tuple(sorted(set(acts[:, i].tolist())))
                             for i in heads)
         self.local_orbits = tuple(o for o in self.orbits if local[o[0]])

@@ -12,7 +12,7 @@ import numpy as np
 from . import currents
 from .alcove import Alcove
 from .fusion import FusionTensor
-from .rootsys import (WEYL_GROUP_CAP, DimensionCapError, build_root_system,
+from .rootsys import (WEYL_GROUP_CAP, CapacityError, build_root_system,
                       weyl_group_order, weyl_orbit_signs)
 
 # The S-matrix sums |W| m(m+1)/2 terms for m orbits of the diagram
@@ -164,12 +164,12 @@ class ModularData:
         js = self.alcove.current_actions[:, 0].tolist()
         acts = np.array([np.arange(n)] + [self.current_action(j)
                                           for j in js[1:]])
-        rep, reps = currents.orbit_reps(acts)
+        rep, reps, move = currents.orbit_reps(acts, np.arange(n))
         m = len(reps)
         order = weyl_group_order(rs)
         terms = order * m * (m + 1) // 2
         if order > WEYL_GROUP_CAP or terms > SMATRIX_TERM_CAP:
-            raise DimensionCapError(
+            raise CapacityError(
                 f"S-matrix of {rs.name} level {self.k} sums {terms} Weyl "
                 f"terms (|W| = {order}, {m} current orbits), over the caps "
                 f"{SMATRIX_TERM_CAP} terms and |W| {WEYL_GROUP_CAP}")
@@ -203,22 +203,22 @@ class ModularData:
                 a0 += rows
         for a in range(1, m):
             u[a, :a] = u[:a, a]
-        s = u if m == n else self._fill_by_currents(u, acts, js, rep, reps)
+        s = u if m == n else self._fill_by_currents(u, acts, js, rep, reps,
+                                                    move)
         s /= np.linalg.norm(s[0])
         # common phase so the vacuum entry is real positive
         s *= cmath.exp(-1j * cmath.phase(s[0, 0]))
         return s
 
-    def _fill_by_currents(self, u, acts, js, rep, reps) -> np.ndarray:
+    def _fill_by_currents(self, u, acts, js, rep, reps, move) -> np.ndarray:
         """The n x n S from its block u on the orbit reps: S_ab =
-        exp(2 pi i (Q_g(b) + Q_h(rep a))) u[rep a, rep b], where g and h
-        are currents with a = g rep(a) and b = h rep(b), and 2P Q_J are
-        the exact integer charges, looked up in a table of the 2P roots."""
+        exp(2 pi i (Q_g(b) + Q_h(rep a))) u[rep a, rep b], where the
+        currents g = move[a] and h = move[b] take rep(a) to a and rep(b)
+        to b, and 2P Q_J are the exact integer charges, looked up in a
+        table of the 2P roots."""
         n = self.rank
         charges = np.array([currents.monodromy_charges(self, j, p)
                             for j, p in zip(js, acts)])
-        g = np.empty(n, dtype=np.intp)     # row of acts taking rep(a) to a
-        g[acts[:, reps]] = np.arange(len(js))[:, None]
         col = np.searchsorted(reps, rep)   # index of rep(a) in u
         period = self.twist_numerators[1]
         # twice over, so that a sum of two charges needs no reduction
@@ -228,8 +228,8 @@ class ModularData:
         rows = max(1, SMATRIX_CHUNK_BYTES // (_TERM_BYTES * n))
         for a0 in range(0, n, rows):
             a = slice(a0, a0 + rows)
-            idx = charges.take(g[a], axis=0)                 # 2P Q_g(b)
-            idx += charges[:, rep[a]].T.take(g, axis=1)      # 2P Q_h(rep a)
+            idx = charges.take(move[a], axis=0)              # 2P Q_g(b)
+            idx += charges[:, rep[a]].T.take(move, axis=1)   # 2P Q_h(rep a)
             np.multiply(turns.take(idx), u[col[a]].take(col, axis=1),
                         out=s[a])
         return s
@@ -244,12 +244,10 @@ class ModularData:
         ratios = s[i] / s[0]
         return (s * ratios) @ s.conj().T
 
-    def verlinde_residual(self, indices=None) -> float:
-        """Max |Verlinde - folded fusion| over rows of the given objects."""
-        if indices is None:
-            indices = range(self.rank)
+    def verlinde_residual(self) -> float:
+        """Max |Verlinde - folded fusion| over every row."""
         worst = 0.0
-        for i in indices:
+        for i in range(self.rank):
             approx = self.verlinde_matrix(i)
             exact = self.fusion.matrix(i)
             worst = max(worst, float(np.max(np.abs(approx - exact))))

@@ -41,9 +41,6 @@ class CapacityError(ValueError):
     """A requested computation exceeds a configured size cap."""
 
 
-DimensionCapError = CapacityError   # raised by the dimension, |W| and S caps
-
-
 def _simply_laced_edges(series: str, n: int):
     if series in ("A",):
         return [(i, i + 1) for i in range(n - 1)]
@@ -275,7 +272,7 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
     dominant weight is spread over its Weyl orbit as soon as it is known.
     The dominant weight of the orbit of mu + j alpha lies strictly above mu,
     so every term m(mu + j alpha) is already in the table; the string stops
-    at the first weight outside the system.  Raises DimensionCapError beyond
+    at the first weight outside the system.  Raises CapacityError beyond
     DIMENSION_CAP, before any enumeration, to keep runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
@@ -286,7 +283,7 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
         return _WEIGHT_SYSTEMS[key]
     (dim,) = weyl_dimensions(rs, [lam])
     if dim > DIMENSION_CAP:
-        raise DimensionCapError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
+        raise CapacityError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
     d = rs.d
     # each positive root in the root basis, as Dynkin labels, and as the
     # coefficients cd of its pairing <x, alpha> = sum(cd * x)
@@ -378,7 +375,7 @@ def weyl_orbit_signs(rs: RootSystem, x: Weight) -> np.ndarray:
         raise ValueError("orbit seed must be strictly dominant")
     order = weyl_group_order(rs)
     if order > WEYL_GROUP_CAP:
-        raise DimensionCapError(f"|W| of {rs.name} exceeds {WEYL_GROUP_CAP}")
+        raise CapacityError(f"|W| of {rs.name} exceeds {WEYL_GROUP_CAP}")
     r = rs.rank
     # a label of w(x) is some <x, beta^vee> <= max <x, alpha>, and |a_ij| <= 3:
     # the walk runs in the narrowest dtype that holds three times that

@@ -27,6 +27,7 @@ from .rootsys import CapacityError, build_root_system
 VERDICT_BLOCKED = "no_exceptional_factorization_possible"
 VERDICT_OPEN = "inconclusive"
 E_SCAN_LIMIT = 150         # last level of the E6/E7 threshold scans
+LATTICE_RANK_CAP = 40      # largest alcove whose subcategory lattice is built
 
 
 def _omega(rank: int, i: int, mult: int = 1) -> tuple:
@@ -70,8 +71,7 @@ class ObstructionReport:
 
 
 def check_factorization_obstruction(series: str, rank: int, k: int,
-                                    subgroup="auto", beta=None
-                                    ) -> ObstructionReport:
+                                    subgroup="auto") -> ObstructionReport:
     """Build the modular data, locate H and its fixed alcove points, and
     compare the smallest non-free dimension against |Z|^2 dim(beta)."""
     md = ModularData(series, rank, k)
@@ -85,7 +85,7 @@ def check_factorization_obstruction(series: str, rank: int, k: int,
         except KeyError as bad:
             raise ValueError(f"subgroup weight is not invertible: {bad}")
         sub = cg.check_tannakian(idxs)
-    b = tuple(beta) if beta is not None else probe_weight(md.rs)
+    b = probe_weight(md.rs)
     if md.rs.level(b) > k:
         raise ValueError(
             f"probe {b} needs level >= {md.rs.level(b)}; k={k} is too small")
@@ -406,15 +406,15 @@ def _assert_closed(ft: FusionTensor, subset: tuple):
             assert set(ft.row(a, b)) <= s
 
 
-def enumerate_fusion_subcategories(ft: FusionTensor,
-                                   cap: int = 40) -> SubcatLattice:
+def enumerate_fusion_subcategories(ft: FusionTensor) -> SubcatLattice:
     """Every fusion subcategory, by single-generator closures and pairwise
     joins to a fixpoint.  Complete because each subcategory is the join of
     the closures of its own simples.
     """
     r = ft.alcove.rank
-    if r > cap:
-        raise CapacityError(f"alcove rank {r} exceeds lattice cap {cap}")
+    if r > LATTICE_RANK_CAP:
+        raise CapacityError(
+            f"alcove rank {r} exceeds lattice cap {LATTICE_RANK_CAP}")
     found = {}
     for i in range(r):
         c = _closure(ft, (i,))

@@ -67,7 +67,7 @@ class WittFingerprint:
             multiplicity_free=self.multiplicity_free)
 
 
-def fingerprint(data, label: str | None = None) -> WittFingerprint:
+def fingerprint(data) -> WittFingerprint:
     """Fingerprint of a full alcove category or of a local-module census.
 
     For local data the central charge is inherited from the ambient
@@ -80,10 +80,8 @@ def fingerprint(data, label: str | None = None) -> WittFingerprint:
     if not local and not isinstance(data, ModularData):
         raise TypeError(f"cannot fingerprint {type(data).__name__}")
     md = data.md if local else data
-    if label is None:
-        label = f"C({md.rs.name},{md.k})" + (" local" if local else "")
     return WittFingerprint(
-        label=label,
+        label=f"C({md.rs.name},{md.k})" + (" local" if local else ""),
         rank=data.rank,
         charge_exponent=md.charge_angle().t,
         dim_multiset=tuple(sorted(float(q) for q in data.qdims)),

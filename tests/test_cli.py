@@ -452,6 +452,20 @@ def test_verify_range_and_report(tmp_path, capsys):
     assert "0 checks" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, families", [
+    ("verify witt --range so7", "so5, g2, emb"),
+    ("verify thm1 --range so5", "A, B, C, D, E6, E7"),
+])
+def test_verify_range_family_outside_the_suite_is_refused(argv, families,
+                                                          capsys):
+    # a typo or another suite's family selects nothing: a usage error in
+    # one line that lists the suite's families, not "0 checks" and exit 0
+    assert cli.main(argv.split()) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and f"(families: {families})" in err
+
+
 def test_fingerprint_vs(capsys):
     assert cli.main(["fingerprint", "G", "2", "7",
                      "--vs", "B:2:8:local"]) == 0

@@ -3,10 +3,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wzwcat import currents
+from wzwcat import currents, fusion
 from wzwcat.currents import (CurrentGroup, NotInvertibleError, check_action,
                              current_action, invariant_factors)
 from wzwcat.modular import ModularData
@@ -179,6 +180,41 @@ def test_each_current_action_is_built_once(monkeypatch):
     cg = CurrentGroup(md)
     assert len(cg.indices) == 4
     assert calls == Counter(cg.indices)
+
+
+# weights a with more than one row of the diagram currents taking rep(a)
+# to a, the rows differing by a current that fixes rep(a)
+@pytest.mark.parametrize("case, ambiguous", [
+    (("A", 3, 4), 3), (("A", 5, 6), 12), (("D", 4, 8), 39)])
+def test_smatrix_moves_are_the_last_matching_row(case, ambiguous):
+    # the reference is the scatter that filled S from its orbit-rep block:
+    # with rows written in order, the last row taking rep(a) to a is kept
+    acts = ModularData(*case).alcove.current_actions
+    n = acts.shape[1]
+    rep, reps, move = currents.orbit_reps(acts, np.arange(n))
+    assert np.array_equal(rep, acts.min(axis=0))
+    g = np.empty(n, dtype=np.intp)
+    g[acts[:, reps]] = np.arange(len(acts))[:, None]
+    assert np.array_equal(move, g)
+    first = (acts[:, rep] == np.arange(n)).argmax(axis=0)
+    assert np.count_nonzero(first != g) == ambiguous
+
+
+@pytest.mark.parametrize("case", [("A", 3, 4), ("A", 5, 6), ("D", 4, 8),
+                                  ("E", 8, 2)])
+def test_fold_route_reps_are_least_and_moves_reach_them(case):
+    # under the fold route's (Weyl dimension, index) ranking, each rep is
+    # the least member of its orbit and the move of each member carries
+    # the rep to it; E8 level 2 brings the current that is no diagram
+    # automorphism
+    md = ModularData(*case)
+    cg = CurrentGroup(md)
+    acts = np.array([cg.actions[j] for j in cg.indices])
+    order = np.array(fusion._current_orbits(md.alcove)[0])
+    rep, reps, move = currents.orbit_reps(acts, order)
+    assert np.array_equal(order[rep], order[acts].min(axis=0))
+    assert np.array_equal(acts[move, rep], np.arange(md.rank))
+    assert np.array_equal(reps, np.flatnonzero(rep == np.arange(md.rank)))
 
 
 def test_noninvertible_rejected():

@@ -11,34 +11,40 @@ from wzwcat.fusion import FusionTensor, fuse_weights
 from wzwcat.rootsys import weight_system
 
 
+def fuse(a, lam, gamma):
+    """fuse_weights on alcove weights, keyed by weight."""
+    prod = fuse_weights(a, a.index[tuple(lam)], a.index[tuple(gamma)])
+    return {a.weights[l]: c for l, c in prod.items()}
+
+
 def test_ising_table_complete():
     a = make_alcove("A", 1, 2)
     ft = FusionTensor(a)
     one, sigma, psi = (0,), (1,), (2,)
-    assert fuse_weights(a, sigma, sigma) == {one: 1, psi: 1}
-    assert fuse_weights(a, sigma, psi) == {sigma: 1}
-    assert fuse_weights(a, psi, psi) == {one: 1}
+    assert fuse(a, sigma, sigma) == {one: 1, psi: 1}
+    assert fuse(a, sigma, psi) == {sigma: 1}
+    assert fuse(a, psi, psi) == {one: 1}
     for w in a.weights:
-        assert fuse_weights(a, one, w) == {w: 1}
+        assert fuse(a, one, w) == {w: 1}
     assert ft.is_multiplicity_free()
 
 
 def test_su2_truncation_levels():
     # spin-1/2 times spin-j truncates at the level cutoff
     a = make_alcove("A", 1, 4)
-    assert fuse_weights(a, (1,), (3,)) == {(2,): 1, (4,): 1}
-    assert fuse_weights(a, (1,), (4,)) == {(3,): 1}
-    assert fuse_weights(a, (2,), (2,)) == {(0,): 1, (2,): 1, (4,): 1}
-    assert fuse_weights(a, (4,), (4,)) == {(0,): 1}
+    assert fuse(a, (1,), (3,)) == {(2,): 1, (4,): 1}
+    assert fuse(a, (1,), (4,)) == {(3,): 1}
+    assert fuse(a, (2,), (2,)) == {(0,): 1, (2,): 1, (4,): 1}
+    assert fuse(a, (4,), (4,)) == {(0,): 1}
 
 
 def test_su3_k3_currents_and_multiplicity():
     a = make_alcove("A", 2, 3)
     # simple current rotates the triality corner
-    assert fuse_weights(a, (3, 0), (3, 0)) == {(0, 3): 1}
-    assert fuse_weights(a, (3, 0), (0, 3)) == {(0, 0): 1}
+    assert fuse(a, (3, 0), (3, 0)) == {(0, 3): 1}
+    assert fuse(a, (3, 0), (0, 3)) == {(0, 0): 1}
     # adjoint squared: the 27 falls on the affine wall, the adjoint survives twice
-    prod = fuse_weights(a, (1, 1), (1, 1))
+    prod = fuse(a, (1, 1), (1, 1))
     assert prod == {(0, 0): 1, (1, 1): 2, (3, 0): 1, (0, 3): 1}
 
 
@@ -46,15 +52,15 @@ def test_b2_level1_ising_structure():
     a = make_alcove("B", 2, 1)
     sigma = (0, 1)
     psi = (1, 0)
-    assert fuse_weights(a, sigma, sigma) == {(0, 0): 1, psi: 1}
-    assert fuse_weights(a, psi, psi) == {(0, 0): 1}
-    assert fuse_weights(a, psi, sigma) == {sigma: 1}
+    assert fuse(a, sigma, sigma) == {(0, 0): 1, psi: 1}
+    assert fuse(a, psi, psi) == {(0, 0): 1}
+    assert fuse(a, psi, sigma) == {sigma: 1}
 
 
 def test_g2_level1_fibonacci():
     a = make_alcove("G", 2, 1)
     tau = (1, 0)
-    assert fuse_weights(a, tau, tau) == {(0, 0): 1, tau: 1}
+    assert fuse(a, tau, tau) == {(0, 0): 1, tau: 1}
 
 
 def test_quantum_dimension_homomorphism():
@@ -64,7 +70,7 @@ def test_quantum_dimension_homomorphism():
         for _ in range(5):
             x = a.weights[rng.randrange(a.rank)]
             y = a.weights[rng.randrange(a.rank)]
-            prod = fuse_weights(a, x, y)
+            prod = fuse(a, x, y)
             q = dict(zip(a.weights, a.qdims))
             lhs = q[x] * q[y]
             rhs = sum(c * q[w] for w, c in prod.items())
@@ -114,7 +120,7 @@ def test_negative_coefficient_raises(monkeypatch):
     monkeypatch.setattr(Alcove, "fold", flipped)
     a = make_alcove("B", 2, 2)
     with pytest.raises(AssertionError, match="negative fusion coefficients"):
-        fuse_weights(a, (1, 0), (0, 1))
+        fuse(a, (1, 0), (0, 1))
 
 
 @pytest.mark.parametrize("chunk", [fusion.FOLD_CHUNK, 7])
@@ -138,7 +144,7 @@ def test_block_rows_match_scalar_folds(chunk, monkeypatch):
                     if sign:
                         direct[w] = direct.get(w, 0) + sign * mult
                 direct = {w: c for w, c in direct.items() if c}
-                assert fuse_weights(a, x, y) == direct
+                assert fuse(a, x, y) == direct
 
 
 # orbits by Burnside's lemma: (weights + fixed points of each non-unit
@@ -167,3 +173,26 @@ def test_full_table_expands_one_weight_system_per_current_orbit(
     monkeypatch.setattr(fusion, "weight_system", counted)
     list(FusionTensor(make_alcove(series, rank, k)).triples())
     assert len(calls) == len(set(calls)) == orbits
+
+
+class _NoLookups(dict):
+    """An Alcove.index that fails on any lookup by weight."""
+
+    def __getitem__(self, key):
+        raise AssertionError(f"weight lookup {key!r} on the fold route")
+
+    get = __contains__ = __getitem__
+
+
+@pytest.mark.parametrize("series, rank, k", [("B", 2, 3), ("D", 4, 2),
+                                             ("A", 3, 4)])
+def test_rows_are_read_without_weight_lookups(series, rank, k, monkeypatch):
+    # rows, matrices and triples stay in alcove indices end to end: with
+    # every weight lookup refused they still give the table of an alcove
+    # left alone
+    a = make_alcove(series, rank, k)
+    monkeypatch.setattr(a, "index", _NoLookups())
+    ft, plain = FusionTensor(a), FusionTensor(make_alcove(series, rank, k))
+    assert list(ft.triples()) == list(plain.triples())
+    for i in range(a.rank):
+        assert np.array_equal(ft.matrix(i), plain.matrix(i))
