@@ -17,6 +17,7 @@ equal inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -421,6 +422,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message} (see {self.prog} -h)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="wzwcat",

@@ -105,42 +105,26 @@ class LocalCategoryData:
     def pointed_rank(self) -> int:
         return len(self.pointed_indices)
 
-    def _free_invertible_reps(self):
-        """Alcove reps of invertible local simples coming from free orbits."""
-        reps, split_pieces = [], 0
-        for i in self.pointed_indices:
-            s = self.simples[i]
-            if s.split == 1:
-                reps.append(s.rep)
-            else:
-                split_pieces += 1
-        return reps, split_pieces
-
     def pointed_part(self) -> dict:
         """Group structure and twists of the invertible simples.
 
-        Free invertibles multiply as simple currents.  Split pieces cannot
-        be multiplied individually here, so when any occur the structure is
-        deduced from the order and the twist quadratic form; None means the
-        deduction was inconclusive.
+        Free invertibles multiply as simple currents: the rep of each is a
+        simple current, so a product is the orbit rep of the current's
+        action on the other rep.  Split pieces cannot be multiplied
+        individually here, so when any occur the structure is deduced from
+        the order and the twist quadratic form; None means the deduction
+        was inconclusive.
         """
-        idxs = self.pointed_indices
-        twists = tuple(sorted(self.simples[i].twist.t for i in idxs))
-        _, split_pieces = self._free_invertible_reps()
-        if split_pieces == 0:
-            structure = self._free_pointed_structure(idxs)
+        pointed = [self.simples[i] for i in self.pointed_indices]
+        twists = tuple(sorted(s.twist.t for s in pointed))
+        if any(s.split > 1 for s in pointed):
+            structure = _deduce_abelian_structure(len(pointed), twists)
         else:
-            structure = _deduce_abelian_structure(len(idxs), twists)
-        return {"rank": len(idxs), "structure": structure, "twists": twists}
-
-    def _free_pointed_structure(self, idxs) -> tuple:
-        """Invariant factors of the group of free invertibles.  The rep of
-        each is a simple current, so a product is the orbit rep of the
-        current's action on the other rep."""
-        acts = self.currents.actions
-        return invariant_factors(
-            cycle_length(self._rep[list(acts[self.simples[i].rep])])
-            for i in idxs)
+            acts = self.currents.actions
+            structure = invariant_factors(
+                cycle_length(self._rep[list(acts[s.rep])]) for s in pointed)
+        return {"rank": len(pointed), "structure": structure,
+                "twists": twists}
 
     def adjoint_rank(self) -> int:
         """Rank of the trivial component of the grading by invertibles.
@@ -150,12 +134,12 @@ class LocalCategoryData:
         is itself a split piece, since grading by those would need fixed-point
         resolution.
         """
-        reps, split_pieces = self._free_invertible_reps()
-        if split_pieces:
+        pointed = [self.simples[i] for i in self.pointed_indices]
+        if any(s.split > 1 for s in pointed):
             raise ValueError("pointed part contains split pieces; "
                              "orbit-level grading is not resolvable")
         charges = self.currents.charges
-        return sum(not any(charges[j][s.rep] for j in reps)
+        return sum(not any(charges[p.rep][s.rep] for p in pointed)
                    for s in self.simples)
 
     def self_dual_count(self) -> int:
@@ -194,18 +178,14 @@ def _deduce_abelian_structure(n: int, twists) -> tuple | None:
 
     Every abelian group of square-free order is cyclic.  Otherwise the
     twist is a quadratic form q on the group: q(m*x) = m^2 q(x).  For
-    order 4 that pins the multiset {0, t, 4t, t} for a Z/4 generator t,
-    which is enough to separate Z/4 from Z/2 x Z/2 in the cases in scope.
+    order 4 that pins the multiset {0, t, 4t, 9t} for a Z/4 generator t;
+    when no t fits, the group is Z/2 x Z/2.
     """
-    if n == 1:
-        return ()
     if all(n % (p * p) for p in range(2, math.isqrt(n) + 1)):
         return (n,)
     if n == 4:
         observed = sorted(Fraction(t) % 2 for t in twists)
         for t in observed:
-            if t == 0:
-                continue
             if sorted([Fraction(0), t, (4 * t) % 2, (9 * t) % 2]) == observed:
                 return None  # Z/4 consistent; cannot decide here
         return (2, 2)

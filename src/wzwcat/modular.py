@@ -34,24 +34,12 @@ class RationalAngle:
     def __post_init__(self):
         object.__setattr__(self, "t", Fraction(self.t) % 2)
 
-    def __mul__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.t + other.t)
-
-    def __truediv__(self, other: "RationalAngle") -> "RationalAngle":
-        return RationalAngle(self.t - other.t)
-
-    def conjugate(self) -> "RationalAngle":
-        return RationalAngle(-self.t)
-
     def value(self) -> complex:
         return cmath.exp(1j * math.pi * float(self.t))
 
     @property
     def is_trivial(self) -> bool:
         return self.t == 0
-
-    def __repr__(self):
-        return f"RationalAngle({self.t})"
 
 
 def integer_form(rs) -> tuple:

@@ -167,11 +167,6 @@ class RootSystem:
     def level(self, lam: Weight) -> int:
         return sum(c * x for c, x in zip(self.comarks, lam))
 
-    def simple_reflection(self, w: Weight, i: int) -> Weight:
-        wi = w[i]
-        row = self.cartan[i]
-        return tuple(w[j] - wi * row[j] for j in range(self.rank))
-
 
 @functools.cache
 def build_root_system(series: str, rank: int) -> RootSystem:
@@ -239,18 +234,6 @@ def longest_element(rs: RootSystem, nodes) -> np.ndarray:
 
 def dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
-
-
-def dominate(rs: RootSystem, w: Weight):
-    """Weyl-translate w into the dominant chamber; returns (weight, det sign)."""
-    w = tuple(w)
-    sign = 1
-    while True:
-        i = next((j for j, x in enumerate(w) if x < 0), None)
-        if i is None:
-            return w, sign
-        w = rs.simple_reflection(w, i)
-        sign = -sign
 
 
 # weight systems of every type, by (series, rank, lam), for the life of

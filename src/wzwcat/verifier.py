@@ -355,28 +355,6 @@ def check_sl4_fixed_census(m: int, numeric: bool = False) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SubcatLattice:
-    """All fusion-closed, dual-closed, unit-containing simple-object
-    subsets of an alcove, ordered by (size, members)."""
-
-    elements: tuple   # sorted index tuples
-    generators: tuple  # one generating seed per element, same order
-
-    def __len__(self):
-        return len(self.elements)
-
-    def ranks(self) -> tuple:
-        return tuple(len(e) for e in self.elements)
-
-    def position(self, subset) -> int:
-        return self.elements.index(tuple(sorted(subset)))
-
-    def leq(self, a: int, b: int) -> bool:
-        """Inclusion order on element positions."""
-        return set(self.elements[a]) <= set(self.elements[b])
-
-
 def _closure(ft: FusionTensor, seed) -> tuple:
     """Smallest unit-containing, dual- and fusion-closed superset, layer by
     layer: each new member is dualised once and multiplied once with every
@@ -406,38 +384,27 @@ def _assert_closed(ft: FusionTensor, subset: tuple):
             assert set(ft.row(a, b)) <= s
 
 
-def enumerate_fusion_subcategories(ft: FusionTensor) -> SubcatLattice:
-    """Every fusion subcategory, by single-generator closures and pairwise
-    joins to a fixpoint.  Complete because each subcategory is the join of
-    the closures of its own simples.
+def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
+    """Every fusion subcategory (unit-containing, dual- and fusion-closed
+    set of simples) as a sorted tuple of alcove indices, ordered by (size,
+    members); found by single-generator closures and pairwise joins to a
+    fixpoint.  Complete because each subcategory is the join of the
+    closures of its own simples.
     """
     r = ft.alcove.rank
     if r > LATTICE_RANK_CAP:
         raise CapacityError(
             f"alcove rank {r} exceeds lattice cap {LATTICE_RANK_CAP}")
-    found = {}
-    for i in range(r):
-        c = _closure(ft, (i,))
-        found.setdefault(c, (i,))
-    while True:
-        fresh = {}
-        items = list(found.items())
-        for ai in range(len(items)):
-            for bi in range(ai + 1, len(items)):
-                (ca, ga), (cb, gb) = items[ai], items[bi]
-                if set(ca) <= set(cb) or set(cb) <= set(ca):
-                    continue
-                j = _closure(ft, ca + cb)
-                if j not in found and j not in fresh:
-                    fresh[j] = tuple(sorted(set(ga + gb)))
-        if not fresh:
-            break
-        found.update(fresh)
-    order = sorted(found, key=lambda e: (len(e), e))
+    found = fresh = {_closure(ft, (i,)) for i in range(r)}
+    while fresh:
+        fresh = {_closure(ft, ca + cb)
+                 for ca, cb in itertools.combinations(found, 2)
+                 if not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found
+        found |= fresh
+    order = tuple(sorted(found, key=lambda e: (len(e), e)))
     for e in order:
         _assert_closed(ft, e)
-    return SubcatLattice(elements=tuple(order),
-                         generators=tuple(found[e] for e in order))
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -341,7 +341,7 @@ def test_subcategory_lattice_sizes():
             FusionTensor(make_alcove(s, r, k)))
         assert len(lat) == n
     lat = V.enumerate_fusion_subcategories(FusionTensor(make_alcove("A", 3, 4)))
-    assert lat.ranks() == (1, 2, 4, 10, 19, 35)
+    assert tuple(map(len, lat)) == (1, 2, 4, 10, 19, 35)
 
 
 # --- 9. internal consistency residuals --------------------------------

@@ -45,6 +45,11 @@ def test_altitude():
     assert make_alcove("F", 4, 2).ell == 22
 
 
+def simple_reflection(rs, w, i):
+    """s_i on Dynkin labels: subtract w_i times row i of the Cartan matrix."""
+    return tuple(x - w[i] * c for x, c in zip(w, rs.cartan[i]))
+
+
 def reference_fold(a, mu):
     """The scalar fold the array fold replaced: (sign, weight or None)."""
     rs = a.rs
@@ -56,7 +61,7 @@ def reference_fold(a, mu):
     for _ in range(100_000):
         i = next((j for j, v in enumerate(x) if v < 0), None)
         if i is not None:
-            x = rs.simple_reflection(x, i)
+            x = simple_reflection(rs, x, i)
             sign = -sign
             continue
         if 0 in x:

@@ -16,6 +16,11 @@ from wzwcat import cli
 from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
 
+# child processes import this checkout's package, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    str(Path(cli.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")])))
+
 
 def test_data_table(capsys):
     assert cli.main(["data", "B", "2", "4"]) == 0
@@ -136,7 +141,7 @@ def test_fusion_json_fits_300_mib_of_address_space():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", "fusion",
                            "A", "3", "10", "--format", "json"],
                           capture_output=True, text=True, env=env,
@@ -235,7 +240,7 @@ def test_internal_check_failure_exits_one_line():
             "wzwcat.alcove._FOLD_ITER_CAP = 0; "
             "sys.exit(wzwcat.cli.main(['fusion', 'B', '2', '3']))")
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == cli.EXIT_CHECK
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1
@@ -264,7 +269,7 @@ def test_malformed_input_exits_in_one_line(argv, code):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", *argv.split()],
-                          capture_output=True, text=True,
+                          capture_output=True, text=True, env=CHILD_ENV,
                           preexec_fn=limit_memory)
     assert proc.returncode == code
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
@@ -331,7 +336,7 @@ def test_closed_stdout_exits_quietly(no_fd1):
         proc = subprocess.run([sys.executable, "-m", "wzwcat.cli",
                                "local", "A", "3", "4"],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              text=True,
+                              text=True, env=CHILD_ENV,
                               preexec_fn=(lambda: os.close(1)) if no_fd1
                               else None)
     finally:
@@ -477,6 +482,6 @@ def test_fingerprint_vs(capsys):
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "wzwcat.cli",
                            "data", "A", "1", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "C(A1,2)" in proc.stdout

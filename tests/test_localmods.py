@@ -5,7 +5,8 @@ import pytest
 from test_currents import current_orbit
 
 from wzwcat.currents import invariant_factors
-from wzwcat.localmods import LocalCategoryData, local_category
+from wzwcat.localmods import (LocalCategoryData, _deduce_abelian_structure,
+                               local_category)
 from wzwcat.modular import ModularData
 
 
@@ -113,6 +114,17 @@ def test_squarefree_pointed_part_is_cyclic():
     assert part["rank"] == 10
     assert any(loc.simples[i].split > 1 for i in loc.pointed_indices)
     assert part["structure"] == (10,)
+
+
+def test_order4_structure_from_twists():
+    # twists q(x) of Z/4 with generator twist t are {0, t, 4t, 9t} mod 2
+    cases = {
+        (0, 0, 0, 0): None,                  # Z/4 with the trivial form
+        (0, 1, 1, 1): (2, 2),                # sl3 level 3, i.e. so8 level 1
+        (0, Fraction(1, 4), Fraction(1, 4), 1): None,
+    }
+    for twists, structure in cases.items():
+        assert _deduce_abelian_structure(4, twists) == structure
 
 
 def test_global_dim_quotient_and_closure():
