@@ -77,8 +77,8 @@ def _fmt(x: float) -> str:
 
 
 def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dict:
-    """Typed in-memory bundle for one C(g,k); S is the complex ndarray."""
-    fusion = tuple(md.fusion.triples()) if md.rank <= FUSION_RANK_CAP else None
+    """Typed in-memory bundle for one C(g,k); S is the complex ndarray,
+    built before fusion: its caps refuse at once, the fold route may not."""
     return {
         "schema_version": SCHEMA_VERSION,
         "g": (md.rs.series, md.rs.rank),
@@ -87,7 +87,8 @@ def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dic
         "dims": tuple(float(d) for d in md.qdims),
         "twists": tuple(a.t for a in md.twists),
         "smatrix": md.smatrix,
-        "fusion": fusion,
+        "fusion": (tuple(md.fusion.triples()) if md.rank <= FUSION_RANK_CAP
+                   else None),
         "local": local.census() if local is not None else None,
     }
 

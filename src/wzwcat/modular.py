@@ -147,6 +147,11 @@ class ModularData:
         SMATRIX_CHUNK_BYTES.
         """
         rs, n, r = self.rs, self.rank, self.rs.rank
+        order = weyl_group_order(rs)
+        if order > WEYL_GROUP_CAP:
+            raise CapacityError(
+                f"S-matrix of {rs.name} level {self.k} sums over |W| = "
+                f"{order} Weyl elements, over the cap |W| {WEYL_GROUP_CAP}")
         # the diagram currents, unit first, with their checked actions as
         # the rows of one array
         js = self.alcove.current_actions[:, 0].tolist()
@@ -154,9 +159,8 @@ class ModularData:
                                           for j in js[1:]])
         rep, reps, move = currents.orbit_reps(acts, np.arange(n))
         m = len(reps)
-        order = weyl_group_order(rs)
         terms = order * m * (m + 1) // 2
-        if order > WEYL_GROUP_CAP or terms > SMATRIX_TERM_CAP:
+        if terms > SMATRIX_TERM_CAP:
             raise CapacityError(
                 f"S-matrix of {rs.name} level {self.k} sums {terms} Weyl "
                 f"terms (|W| = {order}, {m} current orbits), over the caps "

@@ -92,40 +92,26 @@ def _cartan_and_d(series: str, n: int):
 
 def _positive_roots(cartan, n):
     """Closure of the simple roots under upward simple reflections, sorted
-    by height.  Where <c, alpha_i^vee> < 0, s_i c = c - <c, alpha_i^vee>
-    alpha_i is a higher positive root.  Every other positive root beta has
-    some <beta, alpha_i^vee> > 0, as (beta, beta) > 0, and then s_i beta is
-    a lower positive root, so the closure reaches it by induction on height.
+    by height.  Each root c is carried with its Dynkin labels <c, alpha_i^vee>
+    (row i of the Cartan matrix for alpha_i); where one is negative, s_i c =
+    c - <c, alpha_i^vee> alpha_i is a higher positive root.  Every other
+    positive root beta has some <beta, alpha_i^vee> > 0, as (beta, beta) > 0,
+    and s_i beta is then lower, so the closure reaches it by induction.
     """
     found = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    layer = list(found)
+    layer = [(c, cartan[c.index(1)]) for c in found]
     while layer:
         nxt = []
-        for c in layer:
-            for i in range(n):
-                p = sum(c[j] * cartan[j][i] for j in range(n))
-                up = c[:i] + (c[i] - p,) + c[i + 1:]
-                if p < 0 and up not in found:
-                    found.add(up)
-                    nxt.append(up)
+        for c, lab in layer:
+            for i, p in enumerate(lab):
+                if p < 0:
+                    up = c[:i] + (c[i] - p,) + c[i + 1:]
+                    if up not in found:
+                        found.add(up)
+                        nxt.append((up, tuple([x - p * a for x, a
+                                               in zip(lab, cartan[i])])))
         layer = nxt
     return tuple(sorted(found, key=lambda c: (sum(c), c)))
-
-
-def _invert_fraction_matrix(a):
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [[m[i][n + j] for j in range(n)] for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -141,7 +127,6 @@ class RootSystem:
     lacing: int
     h_dual: int
     rho: Weight
-    quad_form: tuple  # <omega_i, omega_j> as Fractions
     # unused by the library; perfbench/tracing.py reads it
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -164,6 +149,22 @@ class RootSystem:
         p.flags.writeable = False
         return p
 
+    @functools.cached_property
+    def quad_form(self) -> tuple:
+        """<omega_i, omega_j> as Fractions, from the positive roots alone:
+        for an invariant form, sum_{alpha > 0} <x, alpha><y, alpha> =
+        h_dual (theta, theta)/2 <x, y> (Di Francesco-Mathieu-Senechal, CFT,
+        13.1), and here (theta, theta) = 2 lacing: the form is P P^T / (h_dual
+        lacing), exact in int64, once (P P^T) A^T = h_dual lacing diag(d)."""
+        p = self.pairing_matrix
+        g = np.einsum("ia,ja->ij", p, p)
+        scale = self.h_dual * self.lacing
+        if not np.array_equal(g @ np.array(self.cartan, dtype=np.int64).T,
+                              np.diag(np.array(self.d) * scale)):
+            raise AssertionError("Killing sum fails the Cartan check")
+        return tuple(tuple(Fraction(x, scale) for x in row)
+                     for row in g.tolist())
+
     def level(self, lam: Weight) -> int:
         return sum(c * x for c, x in zip(self.comarks, lam))
 
@@ -178,17 +179,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     pos = _positive_roots(cartan, rank)
     theta = pos[-1]
     lacing = max(d)
-    comarks = []
-    for i in range(rank):
-        num = theta[i] * d[i]
-        if num % lacing:
-            raise AssertionError("comark not integral")
-        comarks.append(num // lacing)
-    inv = _invert_fraction_matrix(cartan)
-    quad = tuple(tuple(inv[j][i] * d[i] for j in range(rank)) for i in range(rank))
-    for i in range(rank):
-        for j in range(rank):
-            assert quad[i][j] == quad[j][i]
+    if any(t * di % lacing for t, di in zip(theta, d)):
+        raise AssertionError("comark not integral")
+    comarks = tuple(t * di // lacing for t, di in zip(theta, d))
     return RootSystem(
         series=series,
         rank=rank,
@@ -197,11 +190,10 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         pos_roots=pos,
         highest_root=theta,
         marks=theta,
-        comarks=tuple(comarks),
+        comarks=comarks,
         lacing=lacing,
         h_dual=1 + sum(comarks),
         rho=(1,) * rank,
-        quad_form=quad,
     )
 
 

@@ -15,7 +15,9 @@ ratio from the sine closed form of the q-binomial.
 """
 
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +77,19 @@ def test_sl4_level4_local_rank_and_pointed_part():
     assert part["rank"] == 2 and part["structure"] == (2,)
     # the nontrivial invertible is a semion-free boson/fermion pair: twist -1
     assert part["twists"] == (Fraction(0), Fraction(1))
+
+
+def test_readme_example_runs_as_stated():
+    # the python block under "Example" in README.md, and what its comments say
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"## Example\n\n```python\n(.*?)```", readme, re.S)
+    ns = {}
+    exec(block, ns)
+    md, loc = ns["md"], ns["loc"]
+    assert md.rank == 35
+    assert md.central_charge == Fraction(15, 2)
+    assert md.verlinde_residual() < 1e-12
+    assert loc.rank == 14 and loc.pointed_part()["structure"] == (2,)
 
 
 def test_sl4_level4_adjoint_rank_reference():

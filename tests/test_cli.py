@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wzwcat import cli
+from wzwcat.fusion import FusionTensor
 from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
 
@@ -209,6 +210,27 @@ def test_oversized_smatrix_exits_capacity(capsys):
     assert cli.main(["data", "A", "7", "8", "--format", "json"]) \
         == cli.EXIT_CAPACITY
     assert time.perf_counter() - t0 < 10
+    assert "capacity exceeded" in capsys.readouterr().err
+
+
+def test_smatrix_over_weyl_group_cap_exits_capacity(capsys):
+    # A100 level 1 has 101 simples, but |W| = 101! is over WEYL_GROUP_CAP;
+    # refused before any current action is built
+    t0 = time.perf_counter()
+    assert cli.main(["data", "A", "100", "1", "--format", "json"]) \
+        == cli.EXIT_CAPACITY
+    assert time.perf_counter() - t0 < 10
+    assert "capacity exceeded" in capsys.readouterr().err
+
+
+def test_refused_smatrix_builds_no_fusion(monkeypatch, capsys):
+    # A12 level 1 has 13 simples, under FUSION_RANK_CAP, and |W| = 13! over
+    # WEYL_GROUP_CAP: the bundle is refused before its fusion table is built
+    def refuse(self):
+        raise AssertionError("fusion built for a refused bundle")
+    monkeypatch.setattr(FusionTensor, "triples", refuse)
+    assert cli.main(["data", "A", "12", "1", "--format", "json"]) \
+        == cli.EXIT_CAPACITY
     assert "capacity exceeded" in capsys.readouterr().err
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import wzwcat.fusion
+from wzwcat.alcove import Alcove
 from wzwcat.modular import ModularData, RationalAngle
-from wzwcat.rootsys import weyl_orbit_signs
+from wzwcat.rootsys import CapacityError, weyl_orbit_signs
 
 
 def _naive_smatrix(md):
@@ -95,6 +96,16 @@ def test_smatrix_reads_no_fusion_row(series, rank, k, monkeypatch):
     monkeypatch.setattr(wzwcat.fusion, "fuse_weights", refuse)
     md = ModularData(series, rank, k)
     assert md.smatrix_unitarity_residual < 1e-12
+
+
+def test_smatrix_refuses_weyl_group_before_current_actions(monkeypatch):
+    # |W(A12)| = 13! is over WEYL_GROUP_CAP: the refusal needs no current
+    # action
+    def refuse(self):
+        raise AssertionError("current actions built for a refused S")
+    monkeypatch.setattr(Alcove, "current_actions", property(refuse))
+    with pytest.raises(CapacityError):
+        ModularData("A", 12, 1).smatrix
 
 
 @pytest.mark.parametrize("series,rank,k", [

@@ -86,6 +86,14 @@ CLASSICAL_TABLE = {
     ("F", 4): (24, 9),
     ("G", 2): (6, 4),
 }
+# the classical series beyond rank 8 (Bourbaki, Planches I-IV): |Phi+| is
+# n(n+1)/2, n^2, n^2, n(n-1) and h_dual is n+1, 2n-1, n+1, 2n-2
+CLASSICAL_TABLE.update({
+    ("A", 40): (40 * 41 // 2, 41),
+    ("B", 30): (30 * 30, 2 * 30 - 1),
+    ("C", 30): (30 * 30, 30 + 1),
+    ("D", 30): (30 * 29, 2 * 30 - 2),
+})
 
 
 @pytest.mark.parametrize("series,rank", sorted(CLASSICAL_TABLE))
@@ -110,6 +118,23 @@ def test_quad_form_inverts_cartan(series, rank):
         for j in range(n):
             got = sum(rs.quad_form[i][m] * rs.cartan[j][m] for m in range(n))
             assert got == (rs.d[i] if i == j else 0)
+
+
+def test_quad_form_is_checked_against_the_cartan_matrix():
+    # B3 has h_dual 5: a root system that claims 6 fails the integer check
+    wrong = dataclasses.replace(build_root_system("B", 3), h_dual=6)
+    with pytest.raises(AssertionError):
+        wrong.quad_form
+
+
+def test_type_a_positive_roots_are_contiguous_blocks():
+    # e_i - e_j for i < j (Bourbaki, Planche I) is alpha_i + ... + alpha_{j-1}:
+    # coordinate 1 on nodes i..j-1; sorted by height, then lexicographically
+    for n in range(1, 61):
+        blocks = [tuple(int(i <= m < j) for m in range(n))
+                  for i in range(n) for j in range(i + 1, n + 1)]
+        assert build_root_system("A", n).pos_roots == tuple(
+            sorted(blocks, key=lambda c: (sum(c), c)))
 
 
 def test_b2_quad_form_values():
