@@ -120,21 +120,30 @@ class Alcove:
         (|Z|, rank) int64 array: the unit first, then J = k omega_n for
         each node n of mark 1 in node order, so column 0 holds the
         currents' indices.  J.lambda = k omega_n + w0^(n) w0 lambda, with
-        w0^(n) the longest element of the Levi subgroup without node n."""
+        w0^(n) the longest element of the Levi subgroup without node n.
+        The currents form the centre, cyclic or Z2 x Z2, so a node is walked
+        only if its corner is no known row's, and the known rows are then
+        closed under its powers: one walk per type, two for D_r."""
         rs, k = self.rs, self.k
         nodes = range(rs.rank)
         w0 = longest_element(rs, nodes)
-        rows = [np.arange(self.rank)]
-        for node in nodes:
-            if rs.marks[node] != 1:
+        known = {0: np.arange(self.rank)}       # row by the current's index
+        ones = [n for n in nodes if rs.marks[n] == 1]
+        corners = self.lookup(k * np.eye(rs.rank, dtype=int)[ones]).tolist()
+        for node, corner in zip(ones, corners):
+            if corner in known:
                 continue
             a = longest_element(rs, [i for i in nodes if i != node]) @ w0
             image = self.labels @ a.T
             image[:, node] += k
             if (image < 0).any() or (image @ rs.comarks > k).any():
                 raise AssertionError(f"action of node {node} leaves the alcove")
-            rows.append(self.lookup(image))
-        return np.array(rows)
+            g = p = self.lookup(image)
+            base = list(known.values())
+            while p[0] not in known:            # the coset p.base is new
+                known.update((q[p[0]], q[p]) for q in base)
+                p = g[p]
+        return np.array([known[j] for j in [0, *corners]])
 
     def lookup(self, labels) -> np.ndarray:
         """Alcove index of each row of labels, an (N, rank) int array of

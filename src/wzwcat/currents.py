@@ -3,15 +3,15 @@
 A current J = k omega_n, for a node n of mark 1, acts on the alcove by an
 automorphism of the affine Dynkin diagram, J.lambda = k omega_n +
 w0^(n) w0 lambda, where w0 lambda = -lambda* and w0^(n) is the longest
-element of the Levi subgroup without node n; Alcove.current_actions
-computes these actions.  Every simple current of a WZW model is of this
-kind except the one at E8 level 2 (Fuchs, Simple WZW currents, CMP 136,
-1991), which takes its action from the fold route.  No action reads the
-S-matrix, and check_action checks each one exactly.
+element of the Levi subgroup without node n.  Every simple current of a
+WZW model is of this kind except the one at E8 level 2 (Fuchs, Simple WZW
+currents, CMP 136, 1991), which takes its action from the fold route.
+The currents form the centre, cyclic or Z2 x Z2, so Alcove.current_actions
+walks only generators, and subgroups and invariant_factors know only these
+groups.  No action reads the S-matrix; check_action checks each exactly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -94,32 +94,18 @@ def check_action(md: ModularData, j: int, perm) -> None:
 
 
 def invariant_factors(orders) -> tuple:
-    """Invariant factors, largest first, of a finite abelian group given
-    the multiset of its element orders.
-
-    For a prime p with cyclic p-factors of exponents e_1, e_2, ..., the
-    elements of order dividing p^e number p^c(e), c(e) = sum_i min(e_i, e).
-    So c(e) - c(e-1) factors have exponent at least e, and each of the
-    c(e) - c(e-1) largest invariant factors takes one more p.
-    """
-    orders = tuple(orders)
-    factors, rest, p = [], len(orders), 2
-    while rest > 1:
-        below, q = 0, 1
-        while rest % p == 0:           # q = p^e for e up to v_p(|G|)
-            rest, q = rest // p, q * p
-            count = sum(1 for m in orders if q % m == 0)
-            c = round(math.log(count, p))
-            if p ** c != count:
-                raise ValueError("element orders do not form an abelian group")
-            wide = c - below           # factors with p-exponent >= e
-            factors += [1] * (wide - len(factors))
-            factors[:wide] = [f * p for f in factors[:wide]]
-            below = c
-        p += 1
-    if math.prod(factors) != len(orders):
-        raise ValueError("element orders do not form an abelian group")
-    return tuple(factors)
+    """Invariant factors, largest first, of a current group given the
+    multiset of its element orders: (n,) when some element has order
+    n = |G|, (2, 2) for Z2 x Z2 and () for the trivial group, the only
+    groups that occur (see CurrentGroup.subgroups); ValueError otherwise."""
+    orders = sorted(orders)
+    if orders == [1]:
+        return ()
+    if orders[-1] == len(orders):
+        return (len(orders),)
+    if orders == [1, 2, 2, 2]:
+        return (2, 2)
+    raise ValueError("element orders of neither a cyclic group nor Z2 x Z2")
 
 
 @dataclass
@@ -170,14 +156,14 @@ class CurrentGroup:
 
     def subgroups(self) -> list:
         """All subgroups, as sorted index tuples (unit always included):
-        those generated by a pair of currents.  The group is cyclic or
-        Z2 x Z2 (the centre of the simply connected group, Bourbaki, Lie
-        Groups ch. VI, Planches; Z2 at E8 level 2), and no subgroup of a
-        finite abelian group needs more generators than the group."""
-        found = {self.generated((a, b))
-                 for a in self.indices for b in self.indices if a <= b}
-        if self.indices not in found:
-            raise AssertionError("no two currents generate the group")
+        the one generated by each current, and the whole group.  The group
+        is cyclic or Z2 x Z2 (the centre of the simply connected group,
+        Bourbaki, Lie Groups ch. VI, Planches; Z2 at E8 level 2), and every
+        proper subgroup of either is cyclic."""
+        found = {self.generated((j,)) for j in self.indices}
+        if self.indices not in found and self.order != 4:
+            raise AssertionError("current group neither cyclic nor Z2 x Z2")
+        found.add(self.indices)
         return sorted(found, key=lambda s: (len(s), s))
 
     def tannakian_subgroups(self) -> list:

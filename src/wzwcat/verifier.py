@@ -387,9 +387,9 @@ def _assert_closed(ft: FusionTensor, subset: tuple):
 def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
     """Every fusion subcategory (unit-containing, dual- and fusion-closed
     set of simples) as a sorted tuple of alcove indices, ordered by (size,
-    members); found by single-generator closures and pairwise joins to a
-    fixpoint.  Complete because each subcategory is the join of the
-    closures of its own simples.
+    members): the closures of single simples, joined pairwise to a fixpoint,
+    each round joining only pairs with a member new in the last.  Complete
+    because each subcategory is the join of the closures of its simples.
     """
     r = ft.alcove.rank
     if r > LATTICE_RANK_CAP:
@@ -399,7 +399,8 @@ def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
     while fresh:
         fresh = {_closure(ft, ca + cb)
                  for ca, cb in itertools.combinations(found, 2)
-                 if not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found
+                 if (ca in fresh or cb in fresh)
+                 and not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found
         found |= fresh
     order = tuple(sorted(found, key=lambda e: (len(e), e)))
     for e in order:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from wzwcat import alcove
 from wzwcat.alcove import make_alcove, qint, quantum_dimensions
 from wzwcat.modular import ModularData
+from wzwcat.rootsys import longest_element
 
 
 def quantum_dimension(rs, k, lam) -> float:
@@ -219,3 +221,42 @@ def test_global_dim_ising():
 def test_bad_level():
     with pytest.raises(ValueError):
         make_alcove("A", 1, 0)
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 9, 1), ("D", 5, 2), ("D", 6, 2), ("E", 6, 1), ("C", 4, 2)])
+def test_current_actions_walk_only_generators(monkeypatch, series, rank, k):
+    # w0 and at most two Levi walks: the centre is cyclic or Z2 x Z2, and
+    # D_r walks its vector node before a spinor node
+    calls = []
+
+    def counted(rs, nodes):
+        calls.append(nodes)
+        return longest_element(rs, nodes)
+
+    monkeypatch.setattr(alcove, "longest_element", counted)
+    make_alcove(series, rank, k).current_actions
+    assert len(calls) <= 3
+
+
+PER_NODE_TYPES = [*(("A", r) for r in range(1, 10)),
+                  *(("B", r) for r in range(2, 6)),
+                  *(("C", r) for r in range(3, 6)),
+                  *(("D", r) for r in range(4, 10)), ("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("series,rank", PER_NODE_TYPES)
+def test_current_actions_equal_per_node_walks(series, rank):
+    # reference: J.lambda = k omega_n + w0^(n) w0 lambda walked for every
+    # node n of mark 1, in node order after the unit
+    for k in (1, 2, 3):
+        a = make_alcove(series, rank, k)
+        rs, nodes = a.rs, set(range(rank))
+        w0 = longest_element(rs, nodes)
+        rows = [np.arange(a.rank)]
+        for n in sorted(nodes):
+            if rs.marks[n] == 1:
+                image = a.labels @ (longest_element(rs, nodes - {n}) @ w0).T
+                image[:, n] += k
+                rows.append(a.lookup(image))
+        assert np.array_equal(a.current_actions, np.array(rows))

@@ -223,6 +223,18 @@ def test_smatrix_over_weyl_group_cap_exits_capacity(capsys):
     assert "capacity exceeded" in capsys.readouterr().err
 
 
+def test_local_census_at_large_rank_walks_only_generators():
+    # A100 level 1: 101 currents, Z101 with every nontrivial twist != 1;
+    # one Levi walk besides w0 builds every action
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wzwcat.cli",
+                           "local", "A", "100", "1"],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == cli.EXIT_NO_SUBGROUP
+    assert "no nontrivial Tannakian subgroup" in proc.stderr
+
+
 def test_refused_smatrix_builds_no_fusion(monkeypatch, capsys):
     # A12 level 1 has 13 simples, under FUSION_RANK_CAP, and |W| = 13! over
     # WEYL_GROUP_CAP: the bundle is refused before its fusion table is built
