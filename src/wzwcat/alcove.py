@@ -65,10 +65,13 @@ class Alcove:
         self._comarks = np.array(rs.comarks)
         self._cartan = np.array(rs.cartan)
         # mixed-radix codes, label i below k // comark_i + 1: ascending in
-        # the lexicographic order of the weights
+        # the lexicographic order of the weights; int64 while every code
+        # fits, else Python ints (a float dtype would merge codes)
         radix = [self.k // c + 1 for c in rs.comarks]
+        dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
+                 else object)
         self._place = np.array([math.prod(radix[i + 1:])
-                                for i in range(rs.rank)])
+                                for i in range(rs.rank)], dtype=dtype)
         self.labels = np.array(self.weights, dtype=np.int64).reshape(-1, rs.rank)
         self._codes = self.labels @ self._place
 

@@ -43,6 +43,7 @@ EXIT_NO_SUBGROUP = 4
 SCHEMA_VERSION = "1"
 DEFAULT_MAX_ALCOVE = 200_000
 FUSION_RANK_CAP = 64          # bundles omit the tensor above this rank
+SMATRIX_TEXT_CAP = 1 << 28    # bytes of S text in a bundle: about 50 an entry
 CACHE_ENV = "WZWCAT_CACHE_DIR"
 
 
@@ -78,7 +79,12 @@ def _fmt(x: float) -> str:
 
 def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dict:
     """Typed in-memory bundle for one C(g,k); S is the complex ndarray,
-    built before fusion: its caps refuse at once, the fold route may not."""
+    built before fusion: its caps refuse at once, the fold route may not.
+    A bundle whose S text would pass SMATRIX_TEXT_CAP is refused first."""
+    size = 50 * md.rank ** 2
+    if size > SMATRIX_TEXT_CAP:
+        raise CapacityError(f"S of {md.rank} simples would be about {size} "
+                            f"bytes of JSON, over the cap {SMATRIX_TEXT_CAP}")
     return {
         "schema_version": SCHEMA_VERSION,
         "g": (md.rs.series, md.rs.rank),
@@ -93,9 +99,23 @@ def build_bundle(md: ModularData, local: LocalCategoryData | None = None) -> dic
     }
 
 
+def _smatrix_json(s: np.ndarray) -> str:
+    """S as rows of ["re","im"] string pairs, each distinct 64-bit pattern
+    formatted once: by bits, since np.unique on floats merges -0.0 with
+    0.0, and filled into one template for the whole matrix."""
+    patterns, inverse = np.unique(
+        np.ascontiguousarray(s).view(np.uint64), return_inverse=True)
+    texts = np.array([_fmt(x) for x in patterns.view(np.float64).tolist()],
+                     dtype=object)
+    row = "[" + ",".join(['["%s","%s"]'] * s.shape[1]) + "]"
+    return ("[" + ",".join([row] * s.shape[0]) + "]") % tuple(
+        texts[inverse.ravel()])
+
+
 def bundle_to_json(bundle: dict) -> str:
     """Deterministic JSON text; tuples are written as arrays, so the
-    tables go out as the bundle holds them."""
+    tables go out as the bundle holds them.  S is spliced in between the
+    sorted keys before and after it."""
     loc = bundle["local"]
     if loc is not None:
         loc = dict(loc)
@@ -109,13 +129,15 @@ def bundle_to_json(bundle: dict) -> str:
         "labels": bundle["labels"],
         "dims": [_fmt(d) for d in bundle["dims"]],
         "twists": [[t.numerator, t.denominator] for t in bundle["twists"]],
-        "smatrix": [[[_fmt(x), _fmt(y)]
-                     for x, y in zip(row.real.tolist(), row.imag.tolist())]
-                    for row in bundle["smatrix"]],
         "fusion": bundle["fusion"],
         "local": loc,
     }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    dump = functools.partial(json.dumps, sort_keys=True,
+                             separators=(",", ":"))
+    head = dump({key: v for key, v in payload.items() if key < "smatrix"})
+    tail = dump({key: v for key, v in payload.items() if key > "smatrix"})
+    return (head[:-1] + ',"smatrix":' + _smatrix_json(bundle["smatrix"])
+            + "," + tail[1:])
 
 
 def bundle_from_json(text: str) -> dict:
@@ -147,6 +169,7 @@ def bundle_from_json(text: str) -> dict:
 # cache
 
 
+@functools.cache
 def _code_version() -> str:
     h = hashlib.sha256()
     pkg = Path(__file__).parent
@@ -161,25 +184,28 @@ def _cache_dir(ns) -> Path | None:
     return Path(path) if path else None
 
 
+def _digest(text: bytes) -> bytes:
+    return hashlib.sha256(text).hexdigest().encode()
+
+
 def load_or_build_bundle(series, rank, k, cache_dir=None):
-    """Returns (json_text, from_cache); a hit is the stored text, once it
-    parses as a bundle."""
+    """Returns (json_text, from_cache).  A cache entry is the SHA-256 hex
+    of the text on its first line, then the text; a hit is the stored
+    text, undecoded, once the digest matches."""
     path = None
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)    # unusable: fail early
         path = cache_dir / f"{series}{rank}-k{k}-{_code_version()}.json"
         if path.exists():
-            try:
-                text = path.read_text()
-                bundle_from_json(text)
-                return text, True
-            except (ValueError, LookupError, TypeError):
-                pass    # a truncated or corrupt entry is a miss: rebuild it
+            digest, _, text = path.read_bytes().partition(b"\n")
+            if digest == _digest(text):     # else truncated, corrupt or old
+                return text.decode("ascii"), True
     text = bundle_to_json(build_bundle(ModularData(series, rank, k)))
     if path is not None:
+        data = text.encode("ascii")
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(_digest(data) + b"\n" + data)
         os.replace(tmp, path)     # atomic publish
     return text, False
 

@@ -40,6 +40,14 @@ def test_alcove_lex_order_and_unit_first():
     assert all(a.rs.level(w) <= 2 for w in a.weights)
 
 
+@pytest.mark.parametrize("rank, k", [(40, 2), (41, 2), (42, 2), (64, 1)])
+def test_lookup_past_int64_codes(rank, k):
+    # the largest mixed-radix place passes int64 here; numpy inferred
+    # float64 for A41 k2 and A64 k1, which merged distinct codes
+    a = make_alcove("A", rank, k)
+    assert (a.lookup(a.labels) == np.arange(a.rank)).all()
+
+
 def test_altitude():
     assert make_alcove("A", 1, 2).ell == 4
     assert make_alcove("B", 2, 1).ell == 8

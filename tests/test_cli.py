@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -82,7 +83,8 @@ def _reference_data_json(md, local=None):
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("g", ["A 3 4", "C 3 4", "D 4 4", "G 2 10"])
+@pytest.mark.parametrize("g", ["A 3 4", "C 3 4", "D 4 4", "G 2 10",
+                               "A 3 8", "B 2 10", "A 1 50"])
 def test_data_json_matches_the_list_copying_reference(g, capsys):
     series, rank, k = g.split()
     assert cli.main(["data", series, rank, k, "--format", "json"]) == 0
@@ -244,6 +246,26 @@ def test_refused_smatrix_builds_no_fusion(monkeypatch, capsys):
     assert cli.main(["data", "A", "12", "1", "--format", "json"]) \
         == cli.EXIT_CAPACITY
     assert "capacity exceeded" in capsys.readouterr().err
+
+
+def test_smatrix_over_the_text_cap_is_refused_before_it_is_built(
+        monkeypatch, capsys):
+    # A3 level 40 has 12341 simples, within every other cap; its S text
+    # would be about 7.6 GB
+    def refuse(self):
+        raise AssertionError("S built for a refused bundle")
+    monkeypatch.setattr(ModularData, "smatrix", property(refuse))
+    assert cli.main(["data", "A", "3", "40", "--format", "json"]) \
+        == cli.EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert err.startswith("capacity exceeded: S of 12341 simples")
+    assert err.count("\n") == 1
+
+
+def test_local_census_past_int64_codes_is_exact():
+    # the mixed-radix codes of A41 level 2 pass int64; as floats they
+    # merged, and a current's action failed its bijection check
+    assert cli.main(["local", "A", "41", "2"]) == cli.EXIT_NO_SUBGROUP
 
 
 def test_local_census_needs_no_smatrix(capsys):
@@ -461,6 +483,57 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):
     assert cli.main(args) == 0
     assert capsys.readouterr().out == first
     assert cached.read_text() == whole
+
+
+def test_cache_entry_changed_in_one_digit_is_rebuilt(tmp_path, capsys):
+    # the changed entry still decodes as a bundle of the same length
+    args = ["data", "B", "2", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+    (cached,) = tmp_path.glob("B2-k2-*.json")
+    whole = cached.read_text()
+    at = whole.index('"smatrix":[[["') + 14
+    digit = "1" if whole[at] == "0" else "0"
+    cached.write_text(whole[:at] + digit + whole[at + 1:])
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
+    assert cached.read_text() == whole
+
+
+def test_cache_entry_without_digest_is_rewritten(tmp_path, capsys,
+                                                 monkeypatch):
+    # an entry of the text alone, with no digest line, is a miss
+    args = ["data", "B", "2", "2", "--format", "json"]
+    assert cli.main(args) == 0
+    text = capsys.readouterr().out
+    args += ["--cache-dir", str(tmp_path)]
+    (tmp_path / f"B2-k2-{cli._code_version()}.json").write_text(text.strip())
+    calls = []
+    to_json = cli.bundle_to_json
+    monkeypatch.setattr(cli, "bundle_to_json",
+                        lambda bundle: calls.append(1) or to_json(bundle))
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == text
+    assert len(calls) == 1
+    (cached,) = tmp_path.glob("B2-k2-*.json")
+    digest, text_line = cached.read_text().split("\n")
+    assert text_line == text.strip()
+    assert digest == hashlib.sha256(text_line.encode()).hexdigest()
+
+
+def test_cache_hit_decodes_no_json(tmp_path, capsys, monkeypatch):
+    args = ["data", "B", "2", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit decoded its entry")
+    monkeypatch.setattr(json, "loads", refuse)
+    monkeypatch.setattr(cli, "bundle_from_json", refuse)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_verify_witt(capsys):
