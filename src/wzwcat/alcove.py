@@ -7,10 +7,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rootsys import (RootSystem, build_root_system, longest_element,
-                      weyl_dimensions)
+from .rootsys import (CapacityError, RootSystem, build_root_system,
+                      longest_element, weyl_dimensions)
 
 _FOLD_ITER_CAP = 100_000
+ALCOVE_CAP = 200_000          # weights an Alcove may list
+
+
+def count_alcove(series: str, rank: int, k: int) -> int:
+    """Number of level-<=k dominant weights, by coin-change DP (no
+    enumeration, so the alcove cap itself is cheap)."""
+    comarks = build_root_system(series, rank).comarks
+    if k < 1:
+        raise ValueError("level must be a positive integer")
+    ways = [1] + [0] * k
+    for c in comarks:
+        for j in range(c, k + 1):
+            ways[j] += ways[j - c]
+    return sum(ways)
 
 
 def qint(n, ell) -> float:
@@ -55,19 +69,25 @@ class Alcove:
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("level must be a positive integer")
+        rs, k = self.rs, self.k
+        # n lambda_j lies in the alcove for 0 <= n <= k // a_j: a bound that
+        # can pass the cap only if k does, and refuses without a list
+        n = k // min(rs.comarks) + 1 if k >= ALCOVE_CAP else 0
+        if n <= ALCOVE_CAP:
+            n = count_alcove(rs.series, rs.rank, k)
+        if n > ALCOVE_CAP:
+            raise CapacityError(
+                f"alcove has at least {n} weights, over the cap {ALCOVE_CAP}")
         self.weights = tuple(self._enumerate())
         self.index = {w: i for i, w in enumerate(self.weights)}
-        rs = self.rs
-        self._kh = self.k + rs.h_dual
+        self._kh = k + rs.h_dual
         self._theta_labels = np.array(rs.root_labels(rs.highest_root))
         self._comarks = np.array(rs.comarks)
         self._cartan = np.array(rs.cartan)
         # mixed-radix codes, label i below k // comark_i + 1: ascending in
         # the lexicographic order of the weights; int64 while every code
         # fits, else Python ints (a float dtype would merge codes)
-        radix = [self.k // c + 1 for c in rs.comarks]
+        radix = [k // c + 1 for c in rs.comarks]
         dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
                  else object)
         self._place = np.array([math.prod(radix[i + 1:])
@@ -123,21 +143,21 @@ class Alcove:
         (|Z|, rank) int64 array: the unit first, then J = k omega_n for
         each node n of mark 1 in node order, so column 0 holds the
         currents' indices.  J.lambda = k omega_n + w0^(n) w0 lambda, with
-        w0^(n) the longest element of the Levi subgroup without node n.
-        The currents form the centre, cyclic or Z2 x Z2, so a node is walked
-        only if its corner is no known row's, and the known rows are then
-        closed under its powers: one walk per type, two for D_r."""
+        w0^(n) the longest element of the Levi subgroup without node n,
+        and w0 lambda = -lambda* read from the duals.  The currents form the
+        centre, cyclic or Z2 x Z2, so a node is walked only if its corner is
+        no known row's, and the known rows are then closed under its
+        powers: one Levi walk per type, two for D_r."""
         rs, k = self.rs, self.k
         nodes = range(rs.rank)
-        w0 = longest_element(rs, nodes)
         known = {0: np.arange(self.rank)}       # row by the current's index
         ones = [n for n in nodes if rs.marks[n] == 1]
         corners = self.lookup(k * np.eye(rs.rank, dtype=int)[ones]).tolist()
         for node, corner in zip(ones, corners):
             if corner in known:
                 continue
-            a = longest_element(rs, [i for i in nodes if i != node]) @ w0
-            image = self.labels @ a.T
+            levi = longest_element(rs, [i for i in nodes if i != node])
+            image = -self.labels[self.duals] @ levi.T
             image[:, node] += k
             if (image < 0).any() or (image @ rs.comarks > k).any():
                 raise AssertionError(f"action of node {node} leaves the alcove")

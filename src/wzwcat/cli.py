@@ -23,16 +23,16 @@ import json
 import os
 import re
 import sys
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import verifier, wittlab
+from .alcove import count_alcove  # noqa: F401 -- re-exported
 from .localmods import LocalCategoryData
 from .modular import ModularData
-from .rootsys import CapacityError, build_root_system
+from .rootsys import CapacityError
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -41,7 +41,6 @@ EXIT_CAPACITY = 3
 EXIT_NO_SUBGROUP = 4
 
 SCHEMA_VERSION = "1"
-DEFAULT_MAX_ALCOVE = 200_000
 FUSION_RANK_CAP = 64          # bundles omit the tensor above this rank
 SMATRIX_TEXT_CAP = 1 << 28    # bytes of S text in a bundle: about 50 an entry
 CACHE_ENV = "WZWCAT_CACHE_DIR"
@@ -53,20 +52,6 @@ class NoSubgroupError(Exception):
 
 class ChecksFailed(Exception):
     """A verify suite had failing checks; the message names them."""
-
-
-def count_alcove(series: str, rank: int, k: int) -> int:
-    """Number of level-<=k dominant weights, by coin-change DP (no
-    enumeration, so the capacity gate itself is cheap)."""
-    rs = build_root_system(series, rank)
-    if k < 1:
-        raise ValueError("level must be a positive integer")
-    ways = [0] * (k + 1)
-    ways[0] = 1
-    for c in rs.comarks:
-        for j in range(c, k + 1):
-            ways[j] += ways[j - c]
-    return sum(ways)
 
 
 def _fmt(x: float) -> str:
@@ -184,28 +169,28 @@ def _cache_dir(ns) -> Path | None:
     return Path(path) if path else None
 
 
-def _digest(text: bytes) -> bytes:
-    return hashlib.sha256(text).hexdigest().encode()
+def _header(text: bytes) -> bytes:
+    return f"{_code_version()} {hashlib.sha256(text).hexdigest()}".encode()
 
 
 def load_or_build_bundle(series, rank, k, cache_dir=None):
-    """Returns (json_text, from_cache).  A cache entry is the SHA-256 hex
-    of the text on its first line, then the text; a hit is the stored
-    text, undecoded, once the digest matches."""
+    """Returns (json_text, from_cache).  A cache entry, one per case, holds
+    the source hash and the SHA-256 hex of the text on its first line,
+    then the text; a hit is the stored text, undecoded, once both match."""
     path = None
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)    # unusable: fail early
-        path = cache_dir / f"{series}{rank}-k{k}-{_code_version()}.json"
+        path = cache_dir / f"{series}{rank}-k{k}.json"
         if path.exists():
-            digest, _, text = path.read_bytes().partition(b"\n")
-            if digest == _digest(text):     # else truncated, corrupt or old
+            head, _, text = path.read_bytes().partition(b"\n")
+            if head == _header(text):   # else truncated, corrupt or stale
                 return text.decode("ascii"), True
     text = bundle_to_json(build_bundle(ModularData(series, rank, k)))
     if path is not None:
         data = text.encode("ascii")
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "wb") as f:
-            f.write(_digest(data) + b"\n" + data)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "xb") as f:      # the umask's mode, as any new file
+            f.write(_header(data) + b"\n" + data)
         os.replace(tmp, path)     # atomic publish
     return text, False
 
@@ -222,18 +207,6 @@ def _label_str(w) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _capacity_gate(series: str, rank: int, k: int, limit: int) -> None:
-    # n lambda_j lies in the alcove for 0 <= n <= k // a_j: a bound that can
-    # pass the cap only if k >= limit, and refuses without count_alcove's list
-    n = (k // min(build_root_system(series, rank).comarks) + 1
-         if k >= max(limit, 1) else 0)
-    if n <= max(limit, 0):
-        n = count_alcove(series, rank, k)
-    if n > limit:
-        raise CapacityError(
-            f"alcove has at least {n} weights, over the cap {limit}")
-
-
 def _check_out(path: str) -> None:
     """OSError unless an --out file at path could be written: its
     directory exists and is writable, and path is no directory.  Nothing is
@@ -248,7 +221,7 @@ def _check_out(path: str) -> None:
 
 def _emit(ns, text: str) -> None:
     if ns.out:
-        Path(ns.out).write_text(text if text.endswith("\n") else text + "\n")
+        Path(ns.out).write_text(text + "\n")
     else:
         print(text)
 
@@ -355,24 +328,22 @@ def cmd_local(ns) -> None:
     _emit(ns, "\n".join(lines))
 
 
-def _fingerprint_of(series, rank, k, want_local):
-    md = ModularData(series, rank, k)
-    return wittlab.fingerprint(_local_data(md) if want_local else md)
+def _fingerprint_of(md: ModularData, local: bool):
+    return wittlab.fingerprint(_local_data(md) if local else md)
 
 
 _VS_RE = re.compile(r"^([A-G]):(\d+):(\d+)(:local)?$")
 
 
 def cmd_fingerprint(ns) -> None:
-    vs = None
-    if ns.vs:     # parsed and gated before the first fingerprint is built
-        m = _VS_RE.match(ns.vs)
-        if not m:
-            raise ValueError(
-                f"bad --vs spec {ns.vs!r} (want SERIES:RANK:K[:local])")
-        vs = m.group(1), int(m.group(2)), int(m.group(3)), bool(m.group(4))
-        _capacity_gate(*vs[:3], ns.max_alcove)
-    fp = _fingerprint_of(ns.series, ns.rank, ns.k, ns.local)
+    vs = ns.vs and _VS_RE.match(ns.vs)
+    if ns.vs and not vs:
+        raise ValueError(
+            f"bad --vs spec {ns.vs!r} (want SERIES:RANK:K[:local])")
+    # both alcoves are built, and so refused, before the first fingerprint
+    md = ModularData(ns.series, ns.rank, ns.k)
+    other = vs and ModularData(vs[1], int(vs[2]), int(vs[3]))
+    fp = _fingerprint_of(md, ns.local)
     lines = [f"{fp.label}: rank {fp.rank}",
              f"charge exponent {_twist_str(fp.charge_exponent)} "
              f"(xi = exp(i pi t))",
@@ -381,9 +352,9 @@ def cmd_fingerprint(ns) -> None:
              f"multiplicity-free "
              f"{'unknown' if fp.multiplicity_free is None else fp.multiplicity_free}"]
     if vs:
-        other = _fingerprint_of(*vs)
-        lines.append(f"vs {other.label}: verdict "
-                     f"{wittlab.coincidence_test(fp, other)}")
+        ofp = _fingerprint_of(other, bool(vs[4]))
+        lines.append(f"vs {ofp.label}: verdict "
+                     f"{wittlab.coincidence_test(fp, ofp)}")
     _emit(ns, "\n".join(lines))
 
 
@@ -461,8 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gk.add_argument("rank", type=int)
     gk.add_argument("k", type=int)
     gk.add_argument("--out")
-    gk.add_argument("--max-alcove", dest="max_alcove", type=int,
-                    default=DEFAULT_MAX_ALCOVE)
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "table"), default="table")
 
@@ -516,8 +485,6 @@ def main(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
         if ns.out:          # refused before the work, not after it
             _check_out(ns.out)
-        if hasattr(ns, "series"):       # every subcommand but verify
-            _capacity_gate(ns.series, ns.rank, ns.k, ns.max_alcove)
         ns.fn(ns)
     except SystemExit as e:         # -h, once argparse has printed the help
         code = int(e.code or 0)

@@ -35,7 +35,7 @@ class WittFingerprint:
 
     label: str
     rank: int
-    charge_exponent: Fraction | None   # t with xi = exp(i pi t), mod 2
+    charge_exponent: Fraction          # t with xi = exp(i pi t), mod 2
     dim_multiset: tuple                # sorted floats
     twist_multiset: tuple              # exact exponents mod 2, sorted
     self_dual_count: int
@@ -49,17 +49,14 @@ class WittFingerprint:
 
     @property
     def central_charge(self) -> complex:
-        if self.charge_exponent is None:
-            raise ValueError(f"{self.label}: charge exponent unknown")
         return cmath.exp(1j * math.pi * float(self.charge_exponent))
 
     def reverse(self) -> "WittFingerprint":
         """Fingerprint of the braid-reversed category (twists negated)."""
-        t = self.charge_exponent
         return WittFingerprint(
             label=self.label + " rev",
             rank=self.rank,
-            charge_exponent=None if t is None else (-t) % 2,
+            charge_exponent=(-self.charge_exponent) % 2,
             dim_multiset=self.dim_multiset,
             twist_multiset=tuple(sorted((-x) % 2 for x in self.twist_multiset)),
             self_dual_count=self.self_dual_count,
@@ -93,13 +90,8 @@ def fingerprint(data) -> WittFingerprint:
 
 
 def _charge_orientations(a: WittFingerprint, b: WittFingerprint):
-    """Which of braided (+1) / braid-reversing (-1) matches the charges.
-
-    An unknown charge on either side rules nothing out.
-    """
+    """Which of braided (+1) / braid-reversing (-1) matches the charges."""
     ta, tb = a.charge_exponent, b.charge_exponent
-    if ta is None or tb is None:
-        return (1, -1)
     out = []
     if ta % 2 == tb % 2:
         out.append(1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from wzwcat import alcove
 from wzwcat.alcove import make_alcove, qint, quantum_dimensions
 from wzwcat.modular import ModularData
-from wzwcat.rootsys import longest_element
+from wzwcat.rootsys import CapacityError, longest_element
 
 
 def quantum_dimension(rs, k, lam) -> float:
@@ -229,6 +230,48 @@ def test_global_dim_ising():
 def test_bad_level():
     with pytest.raises(ValueError):
         make_alcove("A", 1, 0)
+
+
+def _refuse(*args):
+    raise AssertionError("called for an alcove past the cap")
+
+
+def test_alcove_over_the_cap_is_refused_before_any_weight(monkeypatch):
+    # the A_r level-k alcove has C(k + r, r) weights: C(1003, 3) =
+    # 167 668 501 for A3 k1000, C(702, 2) = 246 051 for A2 k700
+    monkeypatch.setattr(alcove.Alcove, "_enumerate", _refuse)
+    t0 = time.perf_counter()
+    with pytest.raises(CapacityError, match="at least 167668501 weights, "
+                       "over the cap 200000"):
+        ModularData("A", 3, 1000)
+    with pytest.raises(CapacityError, match="at least 246051 weights"):
+        make_alcove("A", 2, 700)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_huge_level_is_refused_by_its_bound_alone(monkeypatch):
+    # n omega_1 lies in the A1 alcove for n = 0..k: k + 1 weights at least,
+    # found with neither a count nor a list
+    monkeypatch.setattr(alcove, "count_alcove", _refuse)
+    monkeypatch.setattr(alcove.Alcove, "_enumerate", _refuse)
+    with pytest.raises(CapacityError, match="at least 1000000001 weights"):
+        make_alcove("A", 1, 10 ** 9)
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("D", 6, 1), ("A", 4, 3), ("B", 3, 3), ("E", 6, 2)])
+def test_duals_and_current_actions_walk_w0_once(monkeypatch, series, rank, k):
+    full = []
+
+    def counted(rs, nodes):
+        nodes = list(nodes)
+        full.append(len(nodes) == rs.rank)
+        return longest_element(rs, nodes)
+
+    monkeypatch.setattr(alcove, "longest_element", counted)
+    a = make_alcove(series, rank, k)
+    a.current_actions, a.duals
+    assert full.count(True) == 1
 
 
 @pytest.mark.parametrize("series,rank,k", [

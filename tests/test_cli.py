@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wzwcat import cli
+from wzwcat import alcove, cli, wittlab
 from wzwcat.fusion import FusionTensor
 from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData
@@ -187,20 +187,27 @@ def test_explicit_subgroup(capsys):
         "bad --subgroup 'x' (want auto or labels like '0,4,0;0,0,0')\n")
 
 
-def test_capacity_gate():
-    code = cli.main(["data", "A", "2", "100", "--max-alcove", "1000"])
+def test_capacity_gate(monkeypatch):
+    # A2 level 100 has 5151 simples
+    monkeypatch.setattr(alcove, "ALCOVE_CAP", 1000)
+    code = cli.main(["data", "A", "2", "100"])
     assert code == cli.EXIT_CAPACITY
 
 
 @pytest.mark.parametrize("argv", [
-    "data A 1 20 --max-alcove 10",
-    "fusion A 1 20 --max-alcove 10",
-    "local A 1 20 --max-alcove 10",
-    "fingerprint A 1 20 --max-alcove 10",
-    "fingerprint A 1 1 --max-alcove 10 --vs A:1:20",   # the target too
+    "data A 1 20",
+    "fusion A 1 20",
+    "local A 1 20",
+    "fingerprint A 1 20",
+    "fingerprint A 1 1 --vs A:1:20",   # the target too
 ])
-def test_every_command_obeys_the_alcove_cap(argv, capsys):
-    # A1 level 20 has 21 simples, over a cap of 10
+def test_every_command_obeys_the_alcove_cap(argv, monkeypatch, capsys):
+    # A1 level 20 has 21 simples, over a cap of 10; refused before any
+    # fingerprint, the --vs target's too
+    def refuse(data):
+        raise AssertionError("fingerprint built before the refusal")
+    monkeypatch.setattr(alcove, "ALCOVE_CAP", 10)
+    monkeypatch.setattr(wittlab, "fingerprint", refuse)
     assert cli.main(argv.split()) == cli.EXIT_CAPACITY
     assert "21 weights, over the cap 10" in capsys.readouterr().err
 
@@ -308,7 +315,7 @@ def test_internal_check_failure_exits_one_line():
     ("local A 1 -2", cli.EXIT_USAGE),
     ("data A 1 0", cli.EXIT_USAGE),                      # level 0
     ("data E 5 1", cli.EXIT_USAGE),                      # unsupported rank
-    ("data G 2 3 --max-alcove 0", cli.EXIT_CAPACITY),    # refuses all
+    ("data G 2 3 --max-alcove 5", cli.EXIT_USAGE),       # no such option
     ("verify thm1 --range A:k<", cli.EXIT_USAGE),
     ("local A 3 4 --subgroup 9,9,9", cli.EXIT_USAGE),
     ("local A 3 4 --subgroup x", cli.EXIT_USAGE),
@@ -402,8 +409,8 @@ def test_closed_stdout_exits_quietly(no_fd1):
 
 
 def test_readme_documents_exactly_the_accepted_options():
-    # each subcommand's options are its synopsis line's flags, plus the
-    # common flags when it takes SERIES RANK K
+    # each subcommand's options are the flags of its lines in the fenced
+    # synopsis under "## CLI", and no others
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     synopsis = {}
@@ -413,10 +420,6 @@ def test_readme_documents_exactly_the_accepted_options():
             synopsis[name] = line
         else:
             synopsis[name] += line
-    (common,) = [p for p in section.split("\n\n")
-                 if p.startswith("Common flags")]
-    common_flags = set(re.findall(r"`(--[a-z][a-z-]*)", common))
-    assert common_flags
     (commands,) = [a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
     assert set(synopsis) == set(commands.choices)
@@ -425,8 +428,6 @@ def test_readme_documents_exactly_the_accepted_options():
                     if not isinstance(a, argparse._HelpAction)
                     for opt in a.option_strings}
         documented = set(re.findall(r"--[a-z][a-z-]*", synopsis[name]))
-        if "SERIES RANK K" in synopsis[name]:
-            documented |= common_flags
         assert accepted == documented, name
 
 
@@ -440,8 +441,8 @@ def test_cache_reuse(tmp_path, capsys, monkeypatch):
             "--cache-dir", str(tmp_path)]
     assert cli.main(args) == 0
     first = capsys.readouterr().out
-    cached = list(tmp_path.glob("B2-k2-*.json"))
-    assert len(cached) == 1
+    cached = list(tmp_path.glob("B2-k2*"))
+    assert [p.name for p in cached] == ["B2-k2.json"]
     assert cli.main(args) == 0
     assert capsys.readouterr().out == first
     # same via environment variable
@@ -449,7 +450,7 @@ def test_cache_reuse(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(env_dir))
     assert cli.main(["data", "B", "2", "2", "--format", "json"]) == 0
     assert capsys.readouterr().out == first
-    assert len(list(env_dir.glob("B2-k2-*.json"))) == 1
+    assert [p.name for p in env_dir.iterdir()] == ["B2-k2.json"]
 
 
 def test_data_json_serialises_each_bundle_once(tmp_path, capsys,
@@ -477,7 +478,7 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     assert cli.main(args) == 0
     first = capsys.readouterr().out
-    (cached,) = tmp_path.glob("B2-k2-*.json")
+    (cached,) = tmp_path.glob("B2-k2*")
     whole = cached.read_text()
     cached.write_text(whole[: len(whole) // 2])
     assert cli.main(args) == 0
@@ -491,7 +492,7 @@ def test_cache_entry_changed_in_one_digit_is_rebuilt(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     assert cli.main(args) == 0
     first = capsys.readouterr().out
-    (cached,) = tmp_path.glob("B2-k2-*.json")
+    (cached,) = tmp_path.glob("B2-k2*")
     whole = cached.read_text()
     at = whole.index('"smatrix":[[["') + 14
     digit = "1" if whole[at] == "0" else "0"
@@ -508,7 +509,7 @@ def test_cache_entry_without_digest_is_rewritten(tmp_path, capsys,
     assert cli.main(args) == 0
     text = capsys.readouterr().out
     args += ["--cache-dir", str(tmp_path)]
-    (tmp_path / f"B2-k2-{cli._code_version()}.json").write_text(text.strip())
+    (tmp_path / "B2-k2.json").write_text(text.strip())
     calls = []
     to_json = cli.bundle_to_json
     monkeypatch.setattr(cli, "bundle_to_json",
@@ -516,10 +517,45 @@ def test_cache_entry_without_digest_is_rewritten(tmp_path, capsys,
     assert cli.main(args) == 0
     assert capsys.readouterr().out == text
     assert len(calls) == 1
-    (cached,) = tmp_path.glob("B2-k2-*.json")
-    digest, text_line = cached.read_text().split("\n")
+    (cached,) = tmp_path.glob("B2-k2*")
+    head, text_line = cached.read_text().split("\n")
     assert text_line == text.strip()
-    assert digest == hashlib.sha256(text_line.encode()).hexdigest()
+    assert head == (f"{cli._code_version()} "
+                    f"{hashlib.sha256(text_line.encode()).hexdigest()}")
+
+
+def test_cache_entry_of_other_sources_is_replaced(tmp_path, capsys,
+                                                  monkeypatch):
+    # the source hash is on the entry's first line, not in its name: an
+    # entry of other sources is a miss, and its rewrite replaces it
+    args = ["data", "B", "2", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    calls = []
+    to_json = cli.bundle_to_json
+    monkeypatch.setattr(cli, "bundle_to_json",
+                        lambda bundle: calls.append(1) or to_json(bundle))
+    outs = []
+    for version in ("0123456789ab", "ba9876543210"):
+        monkeypatch.setattr(cli, "_code_version", lambda: version)
+        assert cli.main(args) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(calls) == 2
+    (cached,) = tmp_path.iterdir()
+    assert cached.read_text().startswith("ba9876543210 ")
+
+
+def test_cache_entry_takes_the_umask_mode(tmp_path, capsys):
+    # readable by the other users of a shared cache directory
+    args = ["data", "B", "2", "2", "--format", "json",
+            "--cache-dir", str(tmp_path)]
+    old = os.umask(0o022)
+    try:
+        assert cli.main(args) == 0
+    finally:
+        os.umask(old)
+    (cached,) = tmp_path.iterdir()
+    assert cached.stat().st_mode & 0o777 == 0o666 & ~0o022
 
 
 def test_cache_hit_decodes_no_json(tmp_path, capsys, monkeypatch):
