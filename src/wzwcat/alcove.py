@@ -27,6 +27,16 @@ def count_alcove(series: str, rank: int, k: int) -> int:
     return sum(ways)
 
 
+def place_values(radix) -> np.ndarray:
+    """Place values of mixed-radix codes whose digit i lies below
+    radix[i]: int64 while every code fits, else Python ints (a float
+    dtype would merge codes)."""
+    dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
+             else object)
+    return np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
+                    dtype=dtype)
+
+
 def qint(n, ell) -> float:
     """Quantum integer [n] at altitude ell: sin(n pi/ell)/sin(pi/ell)."""
     return math.sin(math.pi * n / ell) / math.sin(math.pi / ell)
@@ -64,9 +74,11 @@ class Alcove:
     # filled by fusion.fuse_weights: the orbit data of the currents, and
     # the folded products of each orbit representative that is expanded
     # with the representatives after it, by representative (the only
-    # fusion cache)
+    # fusion cache); and every point those blocks folded, with its fold
+    # (fusion._fold_box)
     _orbits: tuple = field(init=False, default=None, repr=False)
     _blocks: dict = field(init=False, default_factory=dict, repr=False)
+    _folds: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         rs, k = self.rs, self.k
@@ -85,13 +97,8 @@ class Alcove:
         self._comarks = np.array(rs.comarks)
         self._cartan = np.array(rs.cartan)
         # mixed-radix codes, label i below k // comark_i + 1: ascending in
-        # the lexicographic order of the weights; int64 while every code
-        # fits, else Python ints (a float dtype would merge codes)
-        radix = [k // c + 1 for c in rs.comarks]
-        dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
-                 else object)
-        self._place = np.array([math.prod(radix[i + 1:])
-                                for i in range(rs.rank)], dtype=dtype)
+        # the lexicographic order of the weights
+        self._place = place_values([k // c + 1 for c in rs.comarks])
         self.labels = np.array(self.weights, dtype=np.int64).reshape(-1, rs.rank)
         self._codes = self.labels @ self._place
 

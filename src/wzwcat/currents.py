@@ -143,7 +143,7 @@ class CurrentGroup:
         return invariant_factors(self.element_order(j) for j in self.indices)
 
     def twist(self, j: int) -> RationalAngle:
-        return self.md.twists[j]
+        return self.md.twist(j)
 
     def generated(self, gens) -> tuple:
         """The indices reached from the unit by the actions of gens, sorted:

@@ -7,13 +7,15 @@ Verlinde numbers act as a cross-check rather than a definition.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .alcove import Alcove
+from .alcove import Alcove, place_values
 from .currents import orbit_reps
 from .rootsys import weight_system
 
-FOLD_CHUNK = 4096   # points per Alcove.fold call
+FOLD_CHUNK = 16384  # points per group, and per Alcove.fold call
 
 
 def fuse_weights(alc: Alcove, i: int, j: int) -> dict:
@@ -69,28 +71,65 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
     bounds, alcove indices, coefficients): the products of the partner at
     position p are entries bounds[p]:bounds[p + 1].
 
+    Each point is folded once per alcove.  A point's code is its
+    mixed-radix code in a box that holds every point of every block: label
+    i of lambda_b + nu lies in [-L, k // comark_i + L], for L the largest
+    <lambda, alpha> over the alcove, which bounds the labels of every
+    weight system of the alcove (rootsys.weight_system).  Codes are int64
+    while the box fits, else Python ints.  alc._folds keeps the sorted
+    codes of the points folded so far with their (sign, index), and only
+    points new to it are passed to Alcove.fold.
+
     Partners are taken in groups small enough that a group's points and
     its dense (partners x alcove) sums each fit FOLD_CHUNK, unless one
-    partner's weight system or one row alone is larger.
+    partner's weight system or one row alone is larger; new points are
+    folded FOLD_CHUNK at a time.
     """
     n, (order, rep) = alc.rank, alc._orbits[:2]
     partners = [b for b in range(n) if rep[b] == b and order[b] >= order[e]]
     ws = weight_system(alc.rs, alc.weights[e])
     nus, mult = ws["point"], ws["mult"]
-    base = np.array([alc.weights[b] for b in partners], dtype=np.int64)
+    if alc._folds is None:
+        alc._folds = _fold_box(alc)
+    place, shift = alc._folds[:2]
+    base = alc.labels[partners]
+    base_codes = base @ place
+    nu_codes = nus @ place + shift
+    # nu by code: each partner's codes are then one ascending run, which
+    # searchsorted walks faster than scattered keys
+    by_code = np.argsort(nu_codes)
+    mult, nu_codes = mult.take(by_code), nu_codes.take(by_code)
     m = len(nus)
     step = max(1, FOLD_CHUNK // max(m, n))
     bounds, labels, counts = [0], [], []
     for g in range(0, len(partners), step):
         size = min(step, len(partners) - g)
-        sums = np.zeros(size * n, dtype=np.int64)
-        for start in range(g * m, (g + size) * m, FOLD_CHUNK):
-            stop = min(start + FOLD_CHUNK, (g + size) * m)
-            pos, t = np.divmod(np.arange(start, stop), m)
-            sign, index = alc.fold(base[pos] + nus[t])
-            hit = sign != 0
-            np.add.at(sums, (pos[hit] - g) * n + index[hit],
-                      sign[hit] * mult[t[hit]])
+        codes = (base_codes[g:g + size, None] + nu_codes).ravel()
+        known, folds = alc._folds[2:]
+        at = np.searchsorted(known, codes)
+        new = known.take(at) != codes
+        if new.any():
+            fresh, first = np.unique(codes[new], return_index=True)
+            pos, t = np.divmod(np.flatnonzero(new)[first], m)
+            points = base.take(g + pos, axis=0) + nus.take(by_code[t], axis=0)
+            got = np.empty((len(points), 2), dtype=np.int64)
+            for c in range(0, len(points), FOLD_CHUNK):
+                got[c:c + FOLD_CHUNK].T[:] = alc.fold(points[c:c + FOLD_CHUNK])
+            got[got[:, 0] == 0, 1] = 0  # a cancelled point adds 0 to any key
+            # two sorted runs: the stable sort merges them
+            known = np.concatenate([known, fresh])
+            o = known.argsort(kind="stable")
+            known = known.take(o)
+            folds = np.concatenate([folds, got]).take(o, axis=0)
+            alc._folds = (place, shift, known, folds)
+            at = np.searchsorted(known, codes)
+        # take, not folds[at]: several times faster on (N, 2) rows
+        sign, index = folds.take(at, axis=0).T.reshape(2, size, m)
+        # float sums of integers below 2**53 are exact: a group's terms
+        # total at most FOLD_CHUNK times DIMENSION_CAP in absolute value
+        keys = index + np.arange(0, size * n, n)[:, None]
+        sums = np.bincount(keys.ravel(), weights=(sign * mult).ravel(),
+                           minlength=size * n).astype(np.int64)
         if (sums < 0).any():
             w = alc.weights
             bad = [(w[e], w[partners[g + q]], w[l], int(sums[q * n + l]))
@@ -103,6 +142,22 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
         labels += index.tolist()
         counts += sums[keys].tolist()
     return {b: p for p, b in enumerate(partners)}, bounds, labels, counts
+
+
+def _fold_box(alc: Alcove) -> tuple:
+    """An empty fold memo for alc: (place, shift, codes, folds), where a
+    point x of the box has code x @ place + shift, codes is sorted and row
+    j of folds is the (sign, index) of codes[j].  The codes start with the
+    end of the box, so a search for any point's code lands on an entry."""
+    rs, k = alc.rs, alc.k
+    # <lambda, theta> = lacing times the level of lambda, and theta is the
+    # root on which every dominant weight pairs largest
+    top = rs.lacing * int((alc.labels @ np.array(rs.comarks)).max())
+    radix = [k // c + 2 * top + 1 for c in rs.comarks]
+    box = math.prod(radix)
+    place = place_values(radix)
+    return (place, top * place.sum(), np.array([box], dtype=place.dtype),
+            np.zeros((1, 2), dtype=np.int64))
 
 
 class FusionTensor:

@@ -56,9 +56,9 @@ class LocalCategoryData:
             split = len(sub) // len(orb)
             rep = orb[0]
             d = float(md.qdims[rep]) / split
+            twist = md.twist(rep)
             for piece in range(split):
-                simples.append(LocalSimple(orb, rep, d, md.twists[rep],
-                                           split, piece))
+                simples.append(LocalSimple(orb, rep, d, twist, split, piece))
         self.simples = tuple(simples)
 
     @property
@@ -94,7 +94,9 @@ class LocalCategoryData:
     @property
     def gauss_sum_phase(self) -> complex:
         """Normalized Gauss sum; equals the ambient phase."""
-        return gauss_phase(self.qdims, self.twists)
+        nums, period = self.md.twist_numerators
+        return gauss_phase(self.qdims, nums[[s.rep for s in self.simples]],
+                           period)
 
     @property
     def pointed_indices(self) -> tuple:

@@ -56,10 +56,12 @@ def central_charge(rs, k: int) -> Fraction:
     return Fraction(k * dim_g, k + rs.h_dual)
 
 
-def gauss_phase(qdims, twists) -> complex:
-    """xi = (sum d^2 theta)/|sum d^2 theta|; equals exp(i pi c/4)."""
-    total = sum(d * d * t.value() for d, t in zip(qdims, twists))
-    return total / abs(total)
+def gauss_phase(qdims, nums, period: int) -> complex:
+    """xi = (sum d^2 theta)/|sum d^2 theta| for theta = exp(i pi T/P), the
+    exact twist numerators T over the period P; equals exp(i pi c/4)."""
+    turns = np.asarray(nums, dtype=np.int64) % (2 * period) / period
+    total = np.sum(np.square(qdims) * np.exp(1j * math.pi * turns))
+    return complex(total / abs(total))
 
 
 class ModularData:
@@ -110,8 +112,21 @@ class ModularData:
 
     @cached_property
     def twists(self) -> tuple:
-        nums, period = self.twist_numerators
-        return tuple(RationalAngle(Fraction(int(t), period)) for t in nums)
+        """The twist of every weight, by alcove index."""
+        return tuple(self.twist(j) for j in range(self.rank))
+
+    @cached_property
+    def _angles(self) -> dict:
+        return {}
+
+    def twist(self, j: int) -> RationalAngle:
+        """The exact twist of alcove index j, built once per index."""
+        angle = self._angles.get(j)
+        if angle is None:
+            nums, period = self.twist_numerators
+            angle = self._angles[j] = RationalAngle(Fraction(int(nums[j]),
+                                                             period))
+        return angle
 
     @cached_property
     def pointed_indices(self) -> tuple:
@@ -247,7 +262,7 @@ class ModularData:
 
     @cached_property
     def gauss_sum_phase(self) -> complex:
-        return gauss_phase(self.qdims, self.twists)
+        return gauss_phase(self.qdims, *self.twist_numerators)
 
     def charge_angle(self) -> RationalAngle:
         """Exact angle of the Gauss phase, c/4 mod 2."""

@@ -36,6 +36,17 @@ _SERIES_RANK_OK = {
     "G": lambda n: n == 2,
 }
 
+# |Phi+| of each series at rank n (Bourbaki, Lie Groups ch. VI, plates)
+_POSITIVE_ROOTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
+
 
 class CapacityError(ValueError):
     """A requested computation exceeds a configured size cap."""
@@ -175,6 +186,11 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     series = series.upper()
     if series not in _SERIES_RANK_OK or not _SERIES_RANK_OK[series](rank):
         raise ValueError(f"unsupported type {series}{rank}")
+    # the root table holds |Phi+| roots of rank coordinates
+    size = _POSITIVE_ROOTS[series](rank) * rank
+    if size > DIMENSION_CAP:
+        raise CapacityError(f"{series}{rank} has a root table of {size} "
+                            f"entries, over the cap {DIMENSION_CAP}")
     cartan, d = _cartan_and_d(series, rank)
     pos = _positive_roots(cartan, rank)
     theta = pos[-1]

@@ -153,6 +153,24 @@ def test_fusion_json_fits_300_mib_of_address_space():
     assert proc.stdout.startswith('{"fusion":[[0,0,0,1],')
 
 
+def test_rank_past_the_root_table_cap_exits_at_once():
+    # A2000 would hold 2 001 000 positive roots of 2000 labels; the
+    # closed-form count refuses it before any root is built
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+    env = dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "wzwcat.cli", "data",
+                           "A", "2000", "1"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=limit_memory)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == cli.EXIT_CAPACITY, proc.stderr[-300:]
+    assert proc.stderr.startswith("capacity exceeded: A2000")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_fusion_table(capsys):
     assert cli.main(["fusion", "A", "1", "2"]) == 0
     out = capsys.readouterr().out

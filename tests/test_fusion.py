@@ -123,13 +123,15 @@ def test_negative_coefficient_raises(monkeypatch):
         fuse(a, (1, 0), (0, 1))
 
 
-@pytest.mark.parametrize("chunk", [fusion.FOLD_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [4096, fusion.FOLD_CHUNK, 7])
 def test_block_rows_match_scalar_folds(chunk, monkeypatch):
     # every product read from the cached blocks equals the Kac-Walton sum
     # over the weight system of either factor, folded one point at a time
-    # by the scalar reference fold; a chunk of 7 points splits blocks into
-    # one partner per group and each partner into several folds.  D4 k2
-    # has two non-identity currents that compose (Z2 x Z2), A4 k2 a Z5
+    # by the scalar reference fold, at the default chunk, at a smaller one of
+    # 4096 points, and at 7: a chunk of 7 points splits blocks into
+    # one partner per group, and the points of a partner new to the
+    # alcove's fold memo into folds of at most 7.  D4 k2 has two
+    # non-identity currents that compose (Z2 x Z2), A4 k2 a Z5
     monkeypatch.setattr(fusion, "FOLD_CHUNK", chunk)
     for series, rank, k in [("B", 2, 3), ("G", 2, 3), ("A", 3, 2),
                             ("D", 4, 2), ("A", 4, 2)]:
@@ -196,3 +198,48 @@ def test_rows_are_read_without_weight_lookups(series, rank, k, monkeypatch):
     assert list(ft.triples()) == list(plain.triples())
     for i in range(a.rank):
         assert np.array_equal(ft.matrix(i), plain.matrix(i))
+
+
+@pytest.mark.parametrize("series, rank, k", [("A", 3, 4), ("D", 4, 2),
+                                             ("G", 2, 5), ("B", 3, 3)])
+def test_each_distinct_point_is_folded_once_per_alcove(series, rank, k,
+                                                        monkeypatch):
+    # a full table folds lambda_b + nu for every pair e <= b of current-orbit
+    # representatives in (Weyl dimension, index) order and every nu in e's
+    # weight system; each distinct point reaches Alcove.fold exactly once
+    passed = []
+    fold = Alcove.fold
+
+    def recorded(self, mu):
+        passed.extend(map(tuple, np.asarray(mu).tolist()))
+        return fold(self, mu)
+
+    monkeypatch.setattr(Alcove, "fold", recorded)
+    a = make_alcove(series, rank, k)
+    list(FusionTensor(a).triples())
+    order = {x: (a.weyl_dims[x], x) for x in range(a.rank)}
+    reps = sorted({min(a.current_actions[:, x].tolist(), key=order.get)
+                   for x in range(a.rank)}, key=order.get)
+    points = set()
+    for p, e in enumerate(reps):
+        for nu in weight_dict(weight_system(a.rs, a.weights[e])):
+            points.update(tuple(g + v for g, v in zip(a.weights[b], nu))
+                          for b in reps[p:])
+    assert len(passed) == len(set(passed))
+    assert set(passed) == points
+
+
+def test_rows_past_int64_codes_match_scalar_folds():
+    # C40 level 1: every label of lambda_b + nu lies in [-2, 3], a box of
+    # 6**40 > 2**63 points, so the fold memo codes them as Python ints
+    a = make_alcove("C", 40, 1)
+    x = (1,) + (0,) * 39
+    ws = weight_dict(weight_system(a.rs, x))
+    for y in a.weights:
+        direct = {}
+        for nu, mult in ws.items():
+            sign, w = reference_fold(a, tuple(g + v for g, v in zip(y, nu)))
+            if sign:
+                direct[w] = direct.get(w, 0) + sign * mult
+        assert fuse(a, x, y) == {w: c for w, c in direct.items() if c}
+    assert a._folds[2].dtype == object

@@ -7,6 +7,7 @@ import pytest
 
 import wzwcat.fusion
 from wzwcat.alcove import Alcove
+from wzwcat.localmods import LocalCategoryData
 from wzwcat.modular import ModularData, RationalAngle
 from wzwcat.rootsys import CapacityError, weyl_orbit_signs
 
@@ -157,6 +158,20 @@ def test_twist_spinor_b2():
     md = ModularData("B", 2, 5)
     i = md.alcove.index[(0, 2)]
     assert md.twists[i].t == Fraction(12, 16)
+
+
+def test_twists_are_built_only_where_read():
+    # the currents and the local census read single twists from the exact
+    # numerators; the table of every twist is built only when asked for
+    md = ModularData("A", 3, 8)
+    loc = LocalCategoryData(md)
+    assert "twists" not in md.__dict__
+    assert abs(loc.gauss_sum_phase - md.gauss_sum_phase) < 1e-9
+    assert "twists" not in md.__dict__
+    assert [md.twist(j) for j in range(md.rank)] == list(md.twists)
+    for s in loc.simples:
+        # each index's angle is built once, however often it is read
+        assert s.twist is md.twist(s.rep) is md.twists[s.rep]
 
 
 def test_balancing_identity():

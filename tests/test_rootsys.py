@@ -504,6 +504,26 @@ def test_dimension_cap_raises():
         weight_system(rs, (40, 40, 40))
 
 
+def test_positive_root_counts_have_a_closed_form():
+    # the count the root-table cap reads, against the built tables
+    for series in "ABCDEFG":
+        for rank in range(1, 13):
+            if rootsys._SERIES_RANK_OK[series](rank):
+                assert rootsys._POSITIVE_ROOTS[series](rank) == len(
+                    build_root_system(series, rank).pos_roots)
+
+
+@pytest.mark.parametrize("series, first", [("A", 272), ("B", 216),
+                                           ("C", 216), ("D", 216)])
+def test_root_table_over_the_cap_is_refused(series, first):
+    # |Phi+| rank entries: the first refused rank of each series, and the
+    # rank below it, which passes
+    count = rootsys._POSITIVE_ROOTS[series]
+    assert count(first - 1) * (first - 1) <= DIMENSION_CAP
+    with pytest.raises(CapacityError, match="root table"):
+        build_root_system(series, first)
+
+
 def test_bad_type_rejected():
     with pytest.raises(ValueError):
         build_root_system("C", 2)
