@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rootsys import (CapacityError, RootSystem, build_root_system,
-                      longest_element, weyl_dimensions)
+                      longest_element, place_values, weyl_dimensions)
 
 _FOLD_ITER_CAP = 100_000
 ALCOVE_CAP = 200_000          # weights an Alcove may list
@@ -25,16 +25,6 @@ def count_alcove(series: str, rank: int, k: int) -> int:
         for j in range(c, k + 1):
             ways[j] += ways[j - c]
     return sum(ways)
-
-
-def place_values(radix) -> np.ndarray:
-    """Place values of mixed-radix codes whose digit i lies below
-    radix[i]: int64 while every code fits, else Python ints (a float
-    dtype would merge codes)."""
-    dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
-             else object)
-    return np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
-                    dtype=dtype)
 
 
 def qint(n, ell) -> float:

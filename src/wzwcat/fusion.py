@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from .alcove import Alcove, place_values
+from .alcove import Alcove
 from .currents import orbit_reps
-from .rootsys import weight_system
+from .rootsys import place_values, weight_system
 
 FOLD_CHUNK = 16384  # points per group, and per Alcove.fold call
 

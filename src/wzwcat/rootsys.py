@@ -161,6 +161,14 @@ class RootSystem:
         return p
 
     @functools.cached_property
+    def root_label_matrix(self) -> np.ndarray:
+        """Row a = the Dynkin labels of alpha_a, int64; read-only."""
+        m = np.array(self.pos_roots, dtype=np.int64) @ np.array(
+            self.cartan, dtype=np.int64)
+        m.flags.writeable = False
+        return m
+
+    @functools.cached_property
     def quad_form(self) -> tuple:
         """<omega_i, omega_j> as Fractions, from the positive roots alone:
         for an invariant form, sum_{alpha > 0} <x, alpha><y, alpha> =
@@ -240,6 +248,16 @@ def longest_element(rs: RootSystem, nodes) -> np.ndarray:
         m -= np.outer(cartan[i], m[i])
 
 
+def place_values(radix) -> np.ndarray:
+    """Place values of mixed-radix codes whose digit i takes radix[i]
+    values, from 0 up or balanced around 0: int64 while every code fits,
+    else Python ints (a float dtype would merge codes)."""
+    dtype = (np.int64 if math.prod(radix) <= np.iinfo(np.int64).max
+             else object)
+    return np.array([math.prod(radix[i + 1:]) for i in range(len(radix))],
+                    dtype=dtype)
+
+
 def dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 
@@ -256,15 +274,15 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
 
     Dominant-weight Freudenthal (Moody and Patera, Bull. AMS 7, 1982), in
     exact integer arithmetic.  The dominant weights mu <= lam come from lam
-    by subtracting positive roots and keeping the dominant results; this
-    reaches all of them because the covers of the dominance order on
-    dominant weights are positive roots (Stembridge, 1998).  Freudenthal's
-    formula runs on those alone, in increasing height of lam - mu, and each
-    dominant weight is spread over its Weyl orbit as soon as it is known.
-    The dominant weight of the orbit of mu + j alpha lies strictly above mu,
-    so every term m(mu + j alpha) is already in the table; the string stops
-    at the first weight outside the system.  Raises CapacityError beyond
-    DIMENSION_CAP, before any enumeration, to keep runaway requests loud.
+    by subtracting positive roots: the covers of the dominance order on
+    dominant weights are positive roots (Stembridge, 1998).  Their Weyl
+    orbits are walked together, and each orbit point comes out once with its
+    owner, the index of its dominant weight.  The recursion runs on the
+    dominant weights alone, in increasing height of lam - mu: the term of
+    mu + j alpha is the multiplicity of its owner, found by code, which lies
+    strictly above mu; strings are unbroken, so each stops at its first
+    miss.  Raises CapacityError beyond DIMENSION_CAP, before any
+    enumeration, to keep runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
     if not dominant(lam):
@@ -275,67 +293,79 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
     (dim,) = weyl_dimensions(rs, [lam])
     if dim > DIMENSION_CAP:
         raise CapacityError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
-    d = rs.d
-    # each positive root in the root basis, as Dynkin labels, and as the
-    # coefficients cd of its pairing <x, alpha> = sum(cd * x)
-    roots = [(alpha, rs.root_labels(alpha), cd) for alpha, cd
-             in zip(rs.pos_roots, rs.pairing_matrix.T.tolist())]
+    alabs, pairing = rs.root_label_matrix, rs.pairing_matrix
     # dominant weights mu <= lam, with the root coordinates of lam - mu
-    coords = {lam: (0,) * rs.rank}
-    layer = [lam]
+    roots = list(zip(rs.pos_roots, alabs.tolist()))
+    coords, layer = {lam: (0,) * rs.rank}, [lam]
     while layer:
         nxt = []
         for mu in layer:
             base = coords[mu]
-            for alpha, alab, _ in roots:
+            for alpha, alab in roots:
                 x = tuple([m - a for m, a in zip(mu, alab)])
                 if x not in coords and dominant(x):
                     coords[x] = tuple([c + a for c, a in zip(base, alpha)])
                     nxt.append(x)
         layer = nxt
-    lam2 = tuple(x + 2 for x in lam)
-    rows = tuple(enumerate(rs.cartan))
-    mult = {}
-    for mu in sorted(coords, key=lambda w: sum(coords[w])):
-        if mu == lam:
-            m = 1
-        else:
-            num = 0
-            for _, alab, cd in roots:
-                x = tuple([u + a for u, a in zip(mu, alab)])
-                while (mx := mult.get(x)) is not None:
-                    num += mx * sum([ci * xi for ci, xi in zip(cd, x)])
-                    x = tuple([u + a for u, a in zip(x, alab)])
-            # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
-            den = sum([ci * di * (l + u) for ci, di, l, u
-                       in zip(coords[mu], d, lam2, mu)])
-            if (2 * num) % den:
-                raise AssertionError("Freudenthal division failed")
-            m = (2 * num) // den
-        # spread mu over its Weyl orbit by descending simple reflections
-        mult[mu] = m
-        layer = [mu]
-        while layer:
-            nxt = []
-            for x in layer:
-                for i, row in rows:
-                    xi = x[i]
-                    if xi > 0:
-                        y = tuple([a - xi * c for a, c in zip(x, row)])
-                        if y not in mult:
-                            mult[y] = m
-                            nxt.append(y)
-            layer = nxt
-    if sum(mult.values()) != dim:
-        raise AssertionError("multiplicities do not sum to the dimension")
+    doms = sorted(coords, key=lambda w: sum(coords[w]))
     # a label of mu = w(nu), for nu <= lam dominant, is some <nu, beta^vee>,
     # at most max <lam, alpha>; dim <= DIMENSION_CAP bounds every mult
-    top = int((np.array(lam) @ rs.pairing_matrix).max())
-    ws = np.empty(len(mult), dtype=[
+    top = int((np.array(lam) @ pairing).max())
+    # a child s_i y of y (y_i > 0) is kept where i is its first negative
+    # label, which names its one parent; products y_i a_ij stay within 3 top
+    walk = np.min_scalar_type(-3 * top - 1)
+    cartan = np.array(rs.cartan, dtype=walk)
+    y, owner = np.array(doms, dtype=walk), np.arange(len(doms))
+    layers = [(y, owner)]
+    while len(y):
+        rows, nodes = np.nonzero(y > 0)
+        kids = y[rows] - y[rows, nodes][:, None] * cartan[nodes]
+        keep = (kids < 0).argmax(axis=1) == nodes
+        y, owner = kids[keep], owner[rows[keep]]
+        layers.append((y, owner))
+    points, owner = (np.concatenate(c) for c in zip(*layers))
+    # balanced mixed-radix codes with digits in [-top - t, top + t], t the
+    # largest root label: mu + j alpha one step past a weight has a code of
+    # its own, so a miss is never read as another weight
+    t = int(np.abs(alabs).max())
+    place = place_values([2 * (top + t) + 1] * rs.rank)
+    codes = points @ place
+    codes, by_owner = codes.take(by := codes.argsort()), owner.take(by)
+    # the strings mu + j alpha, mu < lam dominant, j = 1, 2, ... while they
+    # hit: a hit is a term (mu, owner of mu + j alpha, <mu + j alpha, alpha>)
+    dom = np.array(doms, dtype=np.int64)
+    a_codes, a_norms = alabs @ place, (alabs * pairing.T).sum(axis=1)
+    mu, a = np.indices((len(doms), len(alabs))).reshape(2, -1)[:, len(alabs):]
+    code, val = (dom @ place)[mu] + a_codes[a], (dom @ pairing)[mu, a]
+    terms = [(mu[:0], mu[:0], mu[:0])]
+    while len(mu):
+        val = val + a_norms[a]
+        at = np.searchsorted(codes, code)
+        hit = codes.take(at, mode="clip") == code
+        mu, a, code, val, at = mu[hit], a[hit], code[hit], val[hit], at[hit]
+        terms.append((mu, by_owner.take(at), val))
+        code = code + a_codes.take(a)
+    mu, of, val = (np.concatenate(c) for c in zip(*terms))
+    o = mu.argsort(kind="stable")
+    bounds = np.searchsorted(mu.take(o), np.arange(len(doms) + 1)).tolist()
+    of, val = of.take(o).tolist(), val.take(o).tolist()
+    # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
+    dens = ((np.array([coords[w] for w in doms]) * rs.d)
+            * (dom + np.array(lam) + 2)).sum(axis=1).tolist()
+    mult = [1]
+    for x in range(1, len(doms)):
+        lo, hi = bounds[x], bounds[x + 1]
+        num = 2 * sum([mult[w] * v for w, v in zip(of[lo:hi], val[lo:hi])])
+        if num % dens[x]:
+            raise AssertionError("Freudenthal division failed")
+        mult.append(num // dens[x])
+    mult = np.array(mult).take(owner)
+    if mult.sum() != dim:
+        raise AssertionError("multiplicities do not sum to the dimension")
+    ws = np.empty(len(points), dtype=[
         ("point", np.min_scalar_type(-1 - top), (rs.rank,)),
         ("mult", np.int32)])
-    ws["point"] = list(mult)
-    ws["mult"] = list(mult.values())
+    ws["point"], ws["mult"] = points, mult
     ws.flags.writeable = False
     _WEIGHT_SYSTEMS[key] = ws
     return ws

@@ -355,20 +355,27 @@ def check_sl4_fixed_census(m: int, numeric: bool = False) -> dict:
     return out
 
 
-def _closure(ft: FusionTensor, seed) -> tuple:
-    """Smallest unit-containing, dual- and fusion-closed superset, layer by
-    layer: each new member is dualised once and multiplied once with every
-    member, itself included."""
+def _closure(ft: FusionTensor, seed, closed, known) -> tuple:
+    """Smallest unit-containing, dual- and fusion-closed superset of seed
+    and of closed, which is closed, layer by layer: each new member is
+    dualised once and multiplied once with every member, itself included.
+    known maps simples to their closures; one that holds every member
+    replaces them unread."""
     duals = ft.alcove.duals.tolist()
-    members, layer = set(), {0, *seed}
-    while layer:
+    members, layer = set(closed), {0, *seed}
+    while layer := layer - members:
+        held = [known[a] for a in layer
+                if a in known and members.issubset(known[a])]
+        if held:
+            members = set(max(held, key=len))
+            continue
         fresh = set()
         for a in layer:
             members.add(a)
             fresh.add(duals[a])
             for b in members:
                 fresh.update(ft.row(a, b))
-        layer = fresh - members
+        layer = fresh
     return tuple(sorted(members))
 
 
@@ -395,9 +402,12 @@ def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
     if r > LATTICE_RANK_CAP:
         raise CapacityError(
             f"alcove rank {r} exceeds lattice cap {LATTICE_RANK_CAP}")
-    found = fresh = {_closure(ft, (i,)) for i in range(r)}
+    known = {}
+    for i in range(r):
+        known[i] = _closure(ft, (i,), (), known)
+    found = fresh = set(known.values())
     while fresh:
-        fresh = {_closure(ft, ca + cb)
+        fresh = {_closure(ft, *sorted((ca, cb), key=len), known)
                  for ca, cb in itertools.combinations(found, 2)
                  if (ca in fresh or cb in fresh)
                  and not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,9 +23,12 @@ from wzwcat.rootsys import (
 
 
 def weight_dict(ws) -> dict:
-    """A weight_system array read back as {Dynkin labels: multiplicity}."""
-    return {tuple(p): m
-            for p, m in zip(ws["point"].tolist(), ws["mult"].tolist())}
+    """A weight_system array read back as {Dynkin labels: multiplicity};
+    fails if a weight is listed twice."""
+    result = {tuple(p): m
+              for p, m in zip(ws["point"].tolist(), ws["mult"].tolist())}
+    assert len(result) == len(ws), "a weight is listed twice"
+    return result
 
 
 def weyl_dimension(rs, lam) -> int:
@@ -406,6 +410,54 @@ def test_weight_system_labels_wider_than_int8():
     assert ws["mult"].sum() == 201
 
 
+@pytest.mark.parametrize("series,rank,lam", [
+    ("A", 3, (2, 1, 1)), ("B", 3, (1, 1, 1)), ("G", 2, (3, 2)),
+    ("F", 4, (0, 0, 0, 3)), ("E", 6, (1, 0, 0, 0, 0, 1))])
+def test_weight_system_lists_each_weight_once(series, rank, lam):
+    ws = weight_system(build_root_system(series, rank), lam)
+    assert len(np.unique(ws["point"], axis=0)) == len(ws)
+
+
+def _epsilons(series, n):
+    """Dynkin labels of the vectors epsilon_i (Bourbaki, plates I-III):
+    omega_i - omega_{i-1}, with epsilon_{n+1} = -omega_n in A_n and
+    epsilon_n = 2 omega_n - omega_{n-1} in B_n."""
+    omega = np.vstack([np.zeros((1, n), dtype=int), np.eye(n, dtype=int),
+                       np.zeros((1, n), dtype=int)])
+    eps = omega[1:] - omega[:-1]
+    if series == "B":
+        eps[n - 1] += omega[n]
+    return eps if series == "A" else eps[:n]
+
+
+@pytest.mark.parametrize("series,rank,node", [
+    ("C", 40, 0), ("A", 40, 0), ("B", 20, 1)])
+def test_weight_system_with_codes_past_int64(series, rank, node):
+    # the vector representations of C40 and A40 and the adjoint of B20: a
+    # box of (2 top + 1)^rank codes passes int64, so the codes are Python
+    # ints (the full-lattice reference takes seconds at these ranks)
+    rs = build_root_system(series, rank)
+    lam = tuple(int(i == node) for i in range(rank))
+    top = int((np.array(lam) @ rs.pairing_matrix).max())
+    assert rootsys.place_values([2 * top + 1] * rank).dtype == object
+    eps = _epsilons(series, rank)
+    if series == "A":
+        ref = {tuple(e): 1 for e in eps.tolist()}
+    else:
+        short = np.concatenate([eps, -eps])
+        if series == "C":
+            ref = {tuple(e): 1 for e in short.tolist()}
+        else:
+            roots = [a + b for a, b in itertools.combinations(short, 2)
+                     if (a + b).any()]
+            ref = {tuple(e): 1 for e in np.concatenate([short, roots]).tolist()}
+            assert len(ref) == 2 * rank * rank
+            ref[(0,) * rank] = rank
+    ws = weight_system(rs, lam)
+    assert weight_dict(ws) == ref
+    assert [int(ws["mult"].sum())] == weyl_dimensions(rs, [lam])
+
+
 def test_shared_arrays_are_read_only():
     rs = build_root_system("B", 2)
     ws = weight_system(rs, (1, 1))
@@ -415,6 +467,8 @@ def test_shared_arrays_are_read_only():
         ws["point"][0, 0] = 7
     with pytest.raises(ValueError):
         rs.pairing_matrix[0, 0] = 7
+    with pytest.raises(ValueError):
+        rs.root_label_matrix[0, 0] = 7
 
 
 def test_dominate_and_dual():

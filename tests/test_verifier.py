@@ -217,15 +217,34 @@ def _rescanning_closure(ft, seed):
     ("A", 3, 4), ("D", 4, 2), ("G", 2, 5), ("B", 2, 3), ("E", 8, 2)])
 def test_layered_closure_matches_rescanning_reference(series, rank, k,
                                                       monkeypatch):
-    # every seed the lattice closes, single simples and joins alike
+    # every seed the lattice closes, single simples and joins alike, with
+    # the closed set and the known closures it starts from
     ft = FusionTensor(make_alcove(series, rank, k))
-    seeds, closure = [], V._closure
-    monkeypatch.setattr(V, "_closure",
-                        lambda ft, seed: seeds.append(seed) or closure(ft, seed))
+    calls, closure = [], V._closure
+    monkeypatch.setattr(
+        V, "_closure", lambda ft, *args: calls.append(args) or closure(ft, *args))
     V.enumerate_fusion_subcategories(ft)
-    assert seeds[:ft.alcove.rank] == [(i,) for i in range(ft.alcove.rank)]
-    for seed in seeds:
-        assert closure(ft, seed) == _rescanning_closure(ft, seed)
+    r = ft.alcove.rank
+    assert [args[:2] for args in calls[:r]] == [((i,), ()) for i in range(r)]
+    known = calls[0][2]  # one dict, filled as the single closures are made
+    assert known == {i: _rescanning_closure(ft, (i,)) for i in range(r)}
+    for seed, closed, _ in calls:
+        if closed:
+            assert _rescanning_closure(ft, closed) == closed
+        assert closure(ft, seed, closed, known) == \
+            _rescanning_closure(ft, seed + closed)
+
+
+@pytest.mark.parametrize("series, rank, k, before", [
+    ("D", 4, 3, 6024), ("G", 2, 9, 13952)])
+def test_lattice_reads_fewer_rows(series, rank, k, before):
+    # rows the lattice search reads, _assert_closed included, against the
+    # count when every closure started from nothing (before)
+    ft = FusionTensor(make_alcove(series, rank, k))
+    rows, row = [], ft.row
+    ft.row = lambda i, j: rows.append((i, j)) or row(i, j)
+    V.enumerate_fusion_subcategories(ft)
+    assert len(rows) < before
 
 
 @pytest.mark.parametrize("series, rank, k", [
