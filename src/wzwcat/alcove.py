@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rootsys import (CapacityError, RootSystem, build_root_system,
-                      longest_element, place_values, weyl_dimensions)
+                      integer_form, longest_element, place_values,
+                      weyl_dimensions)
 
 _FOLD_ITER_CAP = 100_000
 ALCOVE_CAP = 200_000          # weights an Alcove may list
@@ -122,6 +123,15 @@ class Alcove:
     def qdims(self) -> np.ndarray:
         """Quantum dimension of each weight, by alcove index."""
         return quantum_dimensions(self.rs, self.k, self.labels)
+
+    @functools.cached_property
+    def twist_numerators(self) -> tuple:
+        """(T, P) with theta_lambda = exp(i pi T_lambda / P) exactly:
+        T_lambda = D <lambda, lambda + 2 rho> as an int64 array by alcove
+        index, and P = D ell, for D and G = D <., .> from integer_form."""
+        denom, gram = integer_form(self.rs)
+        x = self.labels
+        return ((x @ gram) * (x + 2)).sum(axis=1), denom * self.ell
 
     @functools.cached_property
     def duals(self) -> np.ndarray:

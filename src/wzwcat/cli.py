@@ -190,7 +190,8 @@ def load_or_build_bundle(series, rank, k, cache_dir=None):
         data = text.encode("ascii")
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "xb") as f:      # the umask's mode, as any new file
-            f.write(_header(data) + b"\n" + data)
+            f.write(_header(data) + b"\n")   # no copy of the text
+            f.write(data)
         os.replace(tmp, path)     # atomic publish
     return text, False
 

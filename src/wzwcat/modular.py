@@ -13,7 +13,7 @@ from . import currents
 from .alcove import Alcove
 from .fusion import FusionTensor
 from .rootsys import (WEYL_GROUP_CAP, CapacityError, build_root_system,
-                      weyl_group_order, weyl_orbit_signs)
+                      integer_form, weyl_group_order, weyl_orbit_signs)
 
 # The S-matrix sums |W| m(m+1)/2 terms for m orbits of the diagram
 # currents.  At the 1.4e8 terms/s measured on a 2-vCPU x86-64 VM (A5 k8,
@@ -40,14 +40,6 @@ class RationalAngle:
     @property
     def is_trivial(self) -> bool:
         return self.t == 0
-
-
-def integer_form(rs) -> tuple:
-    """(D, G): D the common denominator of the quadratic form
-    <omega_i, omega_j>, G = D times the form as an int64 matrix."""
-    denom = math.lcm(*(f.denominator for row in rs.quad_form for f in row))
-    return denom, np.array([[int(f * denom) for f in row]
-                            for row in rs.quad_form], dtype=np.int64)
 
 
 def central_charge(rs, k: int) -> Fraction:
@@ -101,14 +93,9 @@ class ModularData:
     def global_dim(self) -> float:
         return float(np.sum(self.qdims ** 2))
 
-    @cached_property
+    @property
     def twist_numerators(self) -> tuple:
-        """(T, P) with theta_lambda = exp(i pi T_lambda / P) exactly:
-        T_lambda = D <lambda, lambda + 2 rho> as an int64 array by alcove
-        index, and P = D ell, for D and G = D <., .> from integer_form."""
-        denom, gram = integer_form(self.rs)
-        x = self.alcove.labels
-        return ((x @ gram) * (x + 2)).sum(axis=1), denom * self.alcove.ell
+        return self.alcove.twist_numerators
 
     @cached_property
     def twists(self) -> tuple:

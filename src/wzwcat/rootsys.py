@@ -258,6 +258,14 @@ def place_values(radix) -> np.ndarray:
                     dtype=dtype)
 
 
+def integer_form(rs: RootSystem) -> tuple:
+    """(D, G): D the common denominator of the quadratic form
+    <omega_i, omega_j>, G = D times the form as an int64 matrix."""
+    denom = math.lcm(*(f.denominator for row in rs.quad_form for f in row))
+    return denom, np.array([[int(f * denom) for f in row]
+                            for row in rs.quad_form], dtype=np.int64)
+
+
 def dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 

@@ -1,6 +1,7 @@
 """Mechanical case analysis: factorization obstructions, dimension
-thresholds, rank censuses, brute-force fusion-subcategory lattices, and
-the named check suites (thm1_checks, witt_checks) that `wzwcat verify` runs.
+thresholds, rank censuses, fusion-subcategory lattices as intersections of
+centralizers, and the named check suites (thm1_checks, witt_checks) that
+`wzwcat verify` runs.
 
 Family threshold checks run on closed-form quantum dimensions and exact
 twists, so they stay fast even at levels (E6 at k=123) where alcove
@@ -355,30 +356,6 @@ def check_sl4_fixed_census(m: int, numeric: bool = False) -> dict:
     return out
 
 
-def _closure(ft: FusionTensor, seed, closed, known) -> tuple:
-    """Smallest unit-containing, dual- and fusion-closed superset of seed
-    and of closed, which is closed, layer by layer: each new member is
-    dualised once and multiplied once with every member, itself included.
-    known maps simples to their closures; one that holds every member
-    replaces them unread."""
-    duals = ft.alcove.duals.tolist()
-    members, layer = set(closed), {0, *seed}
-    while layer := layer - members:
-        held = [known[a] for a in layer
-                if a in known and members.issubset(known[a])]
-        if held:
-            members = set(max(held, key=len))
-            continue
-        fresh = set()
-        for a in layer:
-            members.add(a)
-            fresh.add(duals[a])
-            for b in members:
-                fresh.update(ft.row(a, b))
-        layer = fresh
-    return tuple(sorted(members))
-
-
 def _assert_closed(ft: FusionTensor, subset: tuple):
     assert 0 in subset
     s = set(subset)
@@ -394,28 +371,34 @@ def _assert_closed(ft: FusionTensor, subset: tuple):
 def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
     """Every fusion subcategory (unit-containing, dual- and fusion-closed
     set of simples) as a sorted tuple of alcove indices, ordered by (size,
-    members): the closures of single simples, joined pairwise to a fixpoint,
-    each round joining only pairs with a member new in the last.  Complete
-    because each subcategory is the join of the closures of its simples.
+    members).  In a modular category every subcategory is its own double
+    centralizer (Mueger, Proc. LMS 87, 2003), so the subcategories are
+    exactly the intersections of the centralizers {x}' of single simples,
+    the whole category being the empty one.  b centralizes x when
+    theta_c = theta_x theta_b for every c in x b, the balancing axiom read
+    exactly on the twist numerators; each row i <= j is read once.
     """
     r = ft.alcove.rank
     if r > LATTICE_RANK_CAP:
         raise CapacityError(
             f"alcove rank {r} exceeds lattice cap {LATTICE_RANK_CAP}")
-    known = {}
+    nums, period = ft.alcove.twist_numerators
+    t = nums.tolist()
+    cent = [0] * r          # bitmask of {x}'
     for i in range(r):
-        known[i] = _closure(ft, (i,), (), known)
-    found = fresh = set(known.values())
-    while fresh:
-        fresh = {_closure(ft, *sorted((ca, cb), key=len), known)
-                 for ca, cb in itertools.combinations(found, 2)
-                 if (ca in fresh or cb in fresh)
-                 and not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found
-        found |= fresh
-    order = tuple(sorted(found, key=lambda e: (len(e), e)))
+        for j in range(i, r):
+            if all((t[c] - t[i] - t[j]) % (2 * period) == 0
+                   for c in ft.row(i, j)):
+                cent[i] |= 1 << j
+                cent[j] |= 1 << i
+    found = {(1 << r) - 1}
+    for c in cent:
+        found |= {f & c for f in found}
+    order = sorted((tuple(i for i in range(r) if f >> i & 1) for f in found),
+                   key=lambda e: (len(e), e))
     for e in order:
         _assert_closed(ft, e)
-    return order
+    return tuple(order)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wzwcat import verifier as V
-from wzwcat.alcove import make_alcove
+from wzwcat.alcove import count_alcove, make_alcove
 from wzwcat.fusion import FusionTensor
+from wzwcat.modular import ModularData
 
 
 def test_midweight_ratio_frozen_values():
@@ -213,26 +215,152 @@ def _rescanning_closure(ft, seed):
     return tuple(sorted(members))
 
 
-@pytest.mark.parametrize("series, rank, k", [
-    ("A", 3, 4), ("D", 4, 2), ("G", 2, 5), ("B", 2, 3), ("E", 8, 2)])
-def test_layered_closure_matches_rescanning_reference(series, rank, k,
-                                                      monkeypatch):
-    # every seed the lattice closes, single simples and joins alike, with
-    # the closed set and the known closures it starts from
-    ft = FusionTensor(make_alcove(series, rank, k))
-    calls, closure = [], V._closure
-    monkeypatch.setattr(
-        V, "_closure", lambda ft, *args: calls.append(args) or closure(ft, *args))
-    V.enumerate_fusion_subcategories(ft)
+def _closure(ft, seed, closed, known) -> tuple:
+    """Smallest unit-containing, dual- and fusion-closed superset of seed
+    and of closed, which is closed, layer by layer: each new member is
+    dualised once and multiplied once with every member, itself included.
+    known maps simples to their closures; one that holds every member
+    replaces them unread."""
+    duals = ft.alcove.duals.tolist()
+    members, layer = set(closed), {0, *seed}
+    while layer := layer - members:
+        held = [known[a] for a in layer
+                if a in known and members.issubset(known[a])]
+        if held:
+            members = set(max(held, key=len))
+            continue
+        fresh = set()
+        for a in layer:
+            members.add(a)
+            fresh.add(duals[a])
+            for b in members:
+                fresh.update(ft.row(a, b))
+        layer = fresh
+    return tuple(sorted(members))
+
+
+def _search_lattice(ft) -> tuple:
+    # the lattice as a search: the closures of single simples, joined
+    # pairwise to a fixpoint, each round joining only pairs with a member
+    # new in the last
     r = ft.alcove.rank
-    assert [args[:2] for args in calls[:r]] == [((i,), ()) for i in range(r)]
-    known = calls[0][2]  # one dict, filled as the single closures are made
-    assert known == {i: _rescanning_closure(ft, (i,)) for i in range(r)}
-    for seed, closed, _ in calls:
-        if closed:
-            assert _rescanning_closure(ft, closed) == closed
-        assert closure(ft, seed, closed, known) == \
-            _rescanning_closure(ft, seed + closed)
+    if r > V.LATTICE_RANK_CAP:
+        raise V.CapacityError(
+            f"alcove rank {r} exceeds lattice cap {V.LATTICE_RANK_CAP}")
+    known = {}
+    for i in range(r):
+        known[i] = _closure(ft, (i,), (), known)
+    found = fresh = set(known.values())
+    while fresh:
+        fresh = {_closure(ft, *sorted((ca, cb), key=len), known)
+                 for ca, cb in itertools.combinations(found, 2)
+                 if (ca in fresh or cb in fresh)
+                 and not (set(ca) <= set(cb) or set(cb) <= set(ca))} - found
+        found |= fresh
+    return tuple(sorted(found, key=lambda e: (len(e), e)))
+
+
+_LATTICE_TYPES = ([("A", n) for n in range(1, 8)]
+                  + [("B", n) for n in range(2, 6)]
+                  + [("C", n) for n in range(3, 6)]
+                  + [("D", n) for n in range(4, 8)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+# every alcove of at most LATTICE_RANK_CAP simples at levels 1..10; the
+# fold route refuses E8 at levels 5..7 (CapacityError)
+_LATTICE_CASES = [(s, n, k) for s, n in _LATTICE_TYPES for k in range(1, 11)
+                  if count_alcove(s, n, k) <= V.LATTICE_RANK_CAP]
+_REFUSED = [("E", 8, 5), ("E", 8, 6), ("E", 8, 7)]
+
+
+def test_lattice_cases():
+    assert len(_LATTICE_CASES) == 101
+    assert set(_REFUSED) <= set(_LATTICE_CASES)
+
+
+@pytest.mark.parametrize("series, rank, k", _LATTICE_CASES)
+def test_centralizer_lattice_matches_search(series, rank, k):
+    # the intersections of centralizers against the closure-and-join search
+    ft = FusionTensor(make_alcove(series, rank, k))
+    if (series, rank, k) in _REFUSED:
+        with pytest.raises(V.CapacityError):
+            V.enumerate_fusion_subcategories(ft)
+        with pytest.raises(V.CapacityError):
+            _search_lattice(ft)
+        return
+    assert V.enumerate_fusion_subcategories(ft) == _search_lattice(ft)
+
+
+def _s_centralizer(md, subset, tol=1e-6):
+    """{b : S_xb / S_0b = d_x for every x in subset}, read from S alone,
+    with the largest gap of a member and the smallest of a non-member."""
+    s, d = md.smatrix, md.qdims
+    idx = list(subset)
+    gap = np.abs(s[idx] / s[0] - d[idx, None]).max(axis=0)
+    members = tuple(np.flatnonzero(gap < tol).tolist())
+    inside = float(gap[gap < tol].max())
+    outside = float(gap[gap >= tol].min(initial=np.inf))
+    return members, inside, outside
+
+
+@pytest.mark.parametrize("series, rank, k", [
+    ("A", 3, 4), ("D", 4, 3), ("B", 4, 2), ("D", 6, 2), ("A", 1, 3),
+    ("F", 4, 2), ("G", 2, 5), ("B", 2, 3)])
+def test_lattice_centralizers_through_s(series, rank, k):
+    # Mueger's D'' = D and dim D dim D' = dim C, with D' read from the
+    # S-matrix, which no fusion row feeds
+    md = ModularData(series, rank, k)
+    lat = V.enumerate_fusion_subcategories(md.fusion)
+    dim = {e: float(np.sum(md.qdims[list(e)] ** 2)) for e in lat}
+    worst_in, least_out, worst_dim = 0.0, np.inf, 0.0
+    for e in lat:
+        c, in1, out1 = _s_centralizer(md, e)
+        assert c in dim
+        cc, in2, out2 = _s_centralizer(md, c)
+        assert cc == e
+        worst_in = max(worst_in, in1, in2)
+        least_out = min(least_out, out1, out2)
+        worst_dim = max(worst_dim,
+                        abs(dim[e] * dim[c] - md.global_dim) / md.global_dim)
+    print(f"{series}{rank} k{k}: member gap <= {worst_in:.1e}, "
+          f"non-member gap >= {least_out:.3g}, dim defect {worst_dim:.1e}")
+    assert worst_in < 1e-12 and least_out > 0.1
+    assert worst_dim < 1e-9
+
+
+def _index(alc, *weights):
+    return [alc.index[w] for w in weights]
+
+
+@pytest.mark.parametrize("series, rank, k, x", [
+    ("E", 7, 2, (0, 0, 0, 0, 0, 1, 0)), ("A", 1, 3, (2,))])
+def test_fibonacci_subcategories(series, rank, k, x):
+    # {1, x} with x x = 1 + x, so d^2 = d + 1 and d is the golden ratio
+    ft = FusionTensor(make_alcove(series, rank, k))
+    alc = ft.alcove
+    zero, x = _index(alc, (0,) * rank, x)
+    assert ft.row(x, x) == {zero: 1, x: 1}
+    assert alc.qdims[x] == pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12)
+    assert (zero, x) in V.enumerate_fusion_subcategories(ft)
+
+
+@pytest.mark.parametrize("series, rank, k, current, x", [
+    # so(2n+1) and so(2n) at level 2: the dimension-2 simples Y_i satisfy
+    # Y_i Y_i = 1 + J + Y_min(2i, N - 2i) for N = 2n+1 resp. 2n, so Y_i
+    # closes with 1 and J = 2 omega_1 where 3i = N: Y_3 = omega_3 of B4
+    # (N = 9) and Y_4 = omega_4 of D6 (N = 12)
+    ("B", 4, 2, (2, 0, 0, 0), (0, 0, 1, 0)),
+    ("D", 6, 2, (2, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0))])
+def test_rep_s3_subcategories(series, rank, k, current, x):
+    # {1, J, x} of Rep(S3) type: J J = 1, J x = x, x x = 1 + J + x, so
+    # dims (1, 1, 2) from d^2 = 2 + d
+    ft = FusionTensor(make_alcove(series, rank, k))
+    alc = ft.alcove
+    zero, j, x = _index(alc, (0,) * rank, current, x)
+    assert ft.row(j, j) == {zero: 1}
+    assert ft.row(j, x) == {x: 1}
+    assert ft.row(x, x) == {zero: 1, j: 1, x: 1}
+    assert alc.qdims[[zero, j, x]] == pytest.approx([1, 1, 2], abs=1e-12)
+    assert tuple(sorted((zero, j, x))) in V.enumerate_fusion_subcategories(ft)
 
 
 @pytest.mark.parametrize("series, rank, k, before", [
