@@ -62,7 +62,7 @@ class Alcove:
     k: int
     weights: tuple = field(init=False)
     index: dict = field(init=False)
-    # filled by fusion.fuse_weights: the orbit data of the currents, and
+    # filled by the fusion module: the orbit data of the currents, and
     # the folded products of each orbit representative that is expanded
     # with the representatives after it, by representative (the only
     # fusion cache); and every point those blocks folded, with its fold

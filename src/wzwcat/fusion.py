@@ -31,15 +31,11 @@ def fuse_weights(alc: Alcove, i: int, j: int) -> dict:
     folds e's weight system against every later representative, in one
     block cached on the alcove; later products are lookups in that block.
     """
-    if alc._orbits is None:
-        alc._orbits = _current_orbits(alc)
-    order, rep, move, composite = alc._orbits
+    order, rep, move, composite = alc._orbits or _current_orbits(alc)
     e, b = rep[i], rep[j]
     if order[b] < order[e]:
         e, b = b, e
-    block = alc._blocks.get(e)
-    if block is None:
-        block = alc._blocks[e] = _fold_block(alc, e)
+    block = alc._blocks.get(e) or _fold_block(alc, e)
     position, bounds, labels, counts = block
     p = position[b]
     lo, hi = bounds[p], bounds[p + 1]
@@ -62,14 +58,15 @@ def _current_orbits(alc: Alcove) -> tuple:
     rows, units = acts.tolist(), acts[:, 0].tolist()
     row = {c: g for g, c in enumerate(units)}
     composite = [[rows[row[ga[c]]] for c in units] for ga in rows]
-    return order.tolist(), rep.tolist(), move.tolist(), composite
+    alc._orbits = order.tolist(), rep.tolist(), move.tolist(), composite
+    return alc._orbits
 
 
 def _fold_block(alc: Alcove, e: int) -> tuple:
     """Every product e x b of the representative e, which is expanded,
     with a representative b of order at least e's, as ({b: position}, row
     bounds, alcove indices, coefficients): the products of the partner at
-    position p are entries bounds[p]:bounds[p + 1].
+    position p are entries bounds[p]:bounds[p + 1].  Kept in alc._blocks.
 
     Each point is folded once per alcove.  A point's code is its
     mixed-radix code in a box that holds every point of every block: label
@@ -141,7 +138,9 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
                    ).tolist()
         labels += index.tolist()
         counts += sums[keys].tolist()
-    return {b: p for p, b in enumerate(partners)}, bounds, labels, counts
+    alc._blocks[e] = ({b: p for p, b in enumerate(partners)}, bounds,
+                      labels, counts)
+    return alc._blocks[e]
 
 
 def _fold_box(alc: Alcove) -> tuple:
@@ -167,6 +166,16 @@ class FusionTensor:
     def __init__(self, alc: Alcove):
         self.alcove = alc
 
+    def check_full_table(self) -> None:
+        """Refuse a table over DIMENSION_CAP before any fold: fold first the
+        square of the current-orbit representative last in (Weyl dimension,
+        index) order, which builds the table's largest weight system."""
+        alc = self.alcove
+        order, rep = (alc._orbits or _current_orbits(alc))[:2]
+        last = max(set(rep), key=order.__getitem__)
+        if last not in alc._blocks:
+            _fold_block(alc, last)
+
     def row(self, i: int, j: int) -> dict:
         """{l: N_{ij}^l} by alcove index, in no particular order."""
         return fuse_weights(self.alcove, i, j)
@@ -182,6 +191,7 @@ class FusionTensor:
 
     def triples(self):
         """(i, j, l, N_{ij}^l) for i <= j and N nonzero, in index order."""
+        self.check_full_table()
         r = self.alcove.rank
         for i in range(r):
             for j in range(i, r):

@@ -99,21 +99,15 @@ class ModularData:
 
     @cached_property
     def twists(self) -> tuple:
-        """The twist of every weight, by alcove index."""
-        return tuple(self.twist(j) for j in range(self.rank))
-
-    @cached_property
-    def _angles(self) -> dict:
-        return {}
+        """The exact twist of every weight, by alcove index: one angle per
+        distinct T mod 2P (at most 2P), shared by the weights that have it."""
+        nums, period = self.twist_numerators
+        values, at = np.unique(nums % (2 * period), return_inverse=True)
+        angles = [RationalAngle(Fraction(t, period)) for t in values.tolist()]
+        return tuple(angles[i] for i in at.tolist())
 
     def twist(self, j: int) -> RationalAngle:
-        """The exact twist of alcove index j, built once per index."""
-        angle = self._angles.get(j)
-        if angle is None:
-            nums, period = self.twist_numerators
-            angle = self._angles[j] = RationalAngle(Fraction(int(nums[j]),
-                                                             period))
-        return angle
+        return self.twists[j]
 
     @cached_property
     def pointed_indices(self) -> tuple:

@@ -266,10 +266,6 @@ def integer_form(rs: RootSystem) -> tuple:
                             for row in rs.quad_form], dtype=np.int64)
 
 
-def dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
-
-
 # weight systems of every type, by (series, rank, lam), for the life of
 # the process: they do not depend on the level
 _WEIGHT_SYSTEMS: dict = {}
@@ -293,7 +289,7 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
     enumeration, to keep runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
-    if not dominant(lam):
+    if min(lam) < 0:
         raise ValueError(f"weight system wants a dominant weight, got {lam}")
     key = (rs.series, rs.rank, lam)
     if key in _WEIGHT_SYSTEMS:
@@ -311,7 +307,7 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
             base = coords[mu]
             for alpha, alab in roots:
                 x = tuple([m - a for m, a in zip(mu, alab)])
-                if x not in coords and dominant(x):
+                if min(x) >= 0 and x not in coords:
                     coords[x] = tuple([c + a for c, a in zip(base, alpha)])
                     nxt.append(x)
         layer = nxt

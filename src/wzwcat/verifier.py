@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from . import wittlab
 from .alcove import make_alcove, qint, quantum_dimensions
-from .currents import CurrentGroup
 from .fusion import FusionTensor
 from .localmods import LocalCategoryData
 from .modular import ModularData, RationalAngle
@@ -76,33 +75,32 @@ def check_factorization_obstruction(series: str, rank: int, k: int,
     """Build the modular data, locate H and its fixed alcove points, and
     compare the smallest non-free dimension against |Z|^2 dim(beta)."""
     md = ModularData(series, rank, k)
-    cg = CurrentGroup(md)
-    if subgroup == "auto":
-        sub = cg.maximal_tannakian()
-    else:
-        by_weight = {md.weights[j]: j for j in cg.indices}
+    sub = None
+    if subgroup != "auto":
+        by_weight = {md.weights[j]: j for j in md.pointed_indices}
         try:
-            idxs = [by_weight[tuple(w)] for w in subgroup]
+            sub = [by_weight[tuple(w)] for w in subgroup]
         except KeyError as bad:
             raise ValueError(f"subgroup weight is not invertible: {bad}")
-        sub = cg.check_tannakian(idxs)
+    loc = LocalCategoryData(md, subgroup=sub)
     b = probe_weight(md.rs)
     if md.rs.level(b) > k:
         raise ValueError(
             f"probe {b} needs level >= {md.rs.level(b)}; k={k} is too small")
     bi = md.alcove.index[b]
-    nonfree = [i for i in range(md.rank) if cg.stabilizer_order(sub, i) > 1]
+    # i is fixed by some current of H when its H-orbit is shorter than |H|
+    fixed = {i for o in loc.orbits if len(o) < loc.subgroup_order for i in o}
     dim_beta = float(md.qdims[bi])
-    mind = min((float(md.qdims[i]) for i in nonfree), default=math.inf)
+    mind = min((float(md.qdims[i]) for i in fixed), default=math.inf)
     return ObstructionReport(
         series=series, rank=rank, k=k,
-        subgroup=tuple(md.weights[j] for j in sub),
-        center_order=cg.order,
+        subgroup=tuple(md.weights[j] for j in loc.subgroup),
+        center_order=loc.currents.order,
         beta=b,
-        beta_free_simple=cg.stabilizer_order(sub, bi) == 1,
+        beta_free_simple=bi not in fixed,
         dim_beta=dim_beta,
         min_nonfree_dim=mind,
-        inequality_holds=mind * mind > cg.order ** 2 * dim_beta,
+        inequality_holds=mind * mind > loc.currents.order ** 2 * dim_beta,
     )
 
 
@@ -382,6 +380,7 @@ def enumerate_fusion_subcategories(ft: FusionTensor) -> tuple:
     if r > LATTICE_RANK_CAP:
         raise CapacityError(
             f"alcove rank {r} exceeds lattice cap {LATTICE_RANK_CAP}")
+    ft.check_full_table()
     nums, period = ft.alcove.twist_numerators
     t = nums.tolist()
     cent = [0] * r          # bitmask of {x}'

@@ -160,14 +160,20 @@ def test_twist_spinor_b2():
     assert md.twists[i].t == Fraction(12, 16)
 
 
-def test_twists_are_built_only_where_read():
-    # the currents and the local census read single twists from the exact
-    # numerators; the table of every twist is built only when asked for
-    md = ModularData("A", 3, 8)
+@pytest.mark.parametrize("series, rank, k, distinct", [
+    ("A", 3, 8, 28), ("A", 1, 200, 151), ("E", 8, 2, 3), ("G", 2, 5, 12)])
+def test_twist_table_is_shared_by_every_reader(series, rank, k, distinct):
+    # one table of exact twists: one angle object per distinct T mod 2P,
+    # read by index by the currents, the local census and md.twist
+    md = ModularData(series, rank, k)
     loc = LocalCategoryData(md)
-    assert "twists" not in md.__dict__
+    nums, period = md.twist_numerators
+    values = set((nums % (2 * period)).tolist())
+    assert len({id(a) for a in md.twists}) == len(values) == distinct
+    for j, angle in enumerate(md.twists):
+        assert angle == RationalAngle(Fraction(int(nums[j]), period))
+        assert md.twist(j) is angle
     assert abs(loc.gauss_sum_phase - md.gauss_sum_phase) < 1e-9
-    assert "twists" not in md.__dict__
     assert [md.twist(j) for j in range(md.rank)] == list(md.twists)
     for s in loc.simples:
         # each index's angle is built once, however often it is read

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wzwcat import verifier as V
-from wzwcat.alcove import count_alcove, make_alcove
+from wzwcat.alcove import Alcove, count_alcove, make_alcove
+from wzwcat.currents import CurrentGroup
 from wzwcat.fusion import FusionTensor
 from wzwcat.modular import ModularData
 
@@ -169,6 +170,49 @@ def test_obstruction_report_fields():
         V.check_factorization_obstruction("B", 3, 4, subgroup=[(0, 0, 0), (1, 0, 0)])
     with pytest.raises(ValueError, match="Tannakian"):
         V.check_factorization_obstruction("B", 3, 5, subgroup=[(0, 0, 0), (5, 0, 0)])
+
+
+def _reference_obstruction(series, rank, k, subgroup="auto"):
+    """The report by the current group alone: H from maximal_tannakian or
+    check_tannakian, and each weight's stabilizer counted over H."""
+    md = ModularData(series, rank, k)
+    cg = CurrentGroup(md)
+    if subgroup == "auto":
+        sub = cg.maximal_tannakian()
+    else:
+        by_weight = {md.weights[j]: j for j in cg.indices}
+        sub = cg.check_tannakian([by_weight[tuple(w)] for w in subgroup])
+    b = V.probe_weight(md.rs)
+    bi = md.alcove.index[b]
+    nonfree = [i for i in range(md.rank) if cg.stabilizer_order(sub, i) > 1]
+    dim_beta = float(md.qdims[bi])
+    mind = min((float(md.qdims[i]) for i in nonfree), default=math.inf)
+    return V.ObstructionReport(
+        series=series, rank=rank, k=k,
+        subgroup=tuple(md.weights[j] for j in sub),
+        center_order=cg.order,
+        beta=b,
+        beta_free_simple=cg.stabilizer_order(sub, bi) == 1,
+        dim_beta=dim_beta,
+        min_nonfree_dim=mind,
+        inequality_holds=mind * mind > cg.order ** 2 * dim_beta,
+    )
+
+
+@pytest.mark.parametrize("series, rank, k, subgroup", [
+    ("B", 3, 4, "auto"), ("B", 3, 5, "auto"),
+    ("B", 3, 4, [(0, 0, 0), (4, 0, 0)]),
+    ("A", 3, 8, "auto"), ("D", 4, 4, "auto"), ("D", 4, 8, "auto"),
+    ("D", 5, 4, "auto"), ("C", 4, 3, "auto"), ("A", 5, 6, "auto"),
+    ("E", 6, 3, "auto"), ("E", 7, 2, "auto"), ("G", 2, 5, "auto"),
+    ("D", 6, 2, "auto"),
+])
+def test_obstruction_report_matches_current_group_route(series, rank, k,
+                                                        subgroup):
+    # the report reads H and its orbits from the local census; the current
+    # group's own Tannakian choice and stabilizers give the same report
+    assert V.check_factorization_obstruction(series, rank, k, subgroup) \
+        == _reference_obstruction(series, rank, k, subgroup)
 
 
 def test_obstruction_probe_needs_room():
@@ -393,3 +437,18 @@ def test_lattice_is_complete(series, rank, k):
 def test_lattice_capacity():
     with pytest.raises(V.CapacityError):
         V.enumerate_fusion_subcategories(FusionTensor(make_alcove("A", 1, 50)))
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_oversized_full_table_is_refused_before_any_fold(k, monkeypatch):
+    # E8 at k = 5, 6, 7 has at most 40 simples, but its table needs a
+    # weight system over DIMENSION_CAP: both readers of the full table
+    # refuse it before folding a single point
+    def fold(self, mu):
+        raise AssertionError("folded before the capacity check")
+
+    monkeypatch.setattr(Alcove, "fold", fold)
+    with pytest.raises(V.CapacityError, match="exceeds"):
+        next(FusionTensor(make_alcove("E", 8, k)).triples())
+    with pytest.raises(V.CapacityError, match="exceeds"):
+        V.enumerate_fusion_subcategories(FusionTensor(make_alcove("E", 8, k)))
