@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .currents import check_action
 from .rootsys import (CapacityError, RootSystem, build_root_system,
                       integer_form, longest_element, place_values,
                       weyl_dimensions)
@@ -154,7 +155,8 @@ class Alcove:
         and w0 lambda = -lambda* read from the duals.  The currents form the
         centre, cyclic or Z2 x Z2, so a node is walked only if its corner is
         no known row's, and the known rows are then closed under its
-        powers: one Levi walk per type, two for D_r."""
+        powers: one Levi walk per type, two for D_r.  Each row but the
+        unit's passes currents.check_action before it is returned."""
         rs, k = self.rs, self.k
         nodes = range(rs.rank)
         known = {0: np.arange(self.rank)}       # row by the current's index
@@ -173,7 +175,10 @@ class Alcove:
             while p[0] not in known:            # the coset p.base is new
                 known.update((q[p[0]], q[p]) for q in base)
                 p = g[p]
-        return np.array([known[j] for j in [0, *corners]])
+        acts = np.array([known[j] for j in [0, *corners]])
+        for perm in acts[1:]:
+            check_action(self, perm[0], perm)
+        return acts
 
     def lookup(self, labels) -> np.ndarray:
         """Alcove index of each row of labels, an (N, rank) int array of

@@ -189,6 +189,7 @@ def load_or_build_bundle(series, rank, k, cache_dir=None):
     if path is not None:
         data = text.encode("ascii")
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.unlink(missing_ok=True)     # left by a run killed while writing
         with open(tmp, "xb") as f:      # the umask's mode, as any new file
             f.write(_header(data) + b"\n")   # no copy of the text
             f.write(data)

@@ -8,7 +8,8 @@ WZW model is of this kind except the one at E8 level 2 (Fuchs, Simple WZW
 currents, CMP 136, 1991), which takes its action from the fold route.
 The currents form the centre, cyclic or Z2 x Z2, so Alcove.current_actions
 walks only generators, and subgroups and invariant_factors know only these
-groups.  No action reads the S-matrix; check_action checks each exactly.
+groups.  No action reads the S-matrix; check_action checks each exactly,
+where it is built.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ class NotInvertibleError(ValueError):
 
 
 def current_action(md: ModularData, j: int) -> tuple:
-    """Permutation p with p[i] = index of X_j (x) X_i; NotInvertibleError
-    if X_j is not a simple current."""
+    """Permutation p with p[i] = index of X_j (x) X_i, checked where it is
+    built; NotInvertibleError if X_j is not a simple current."""
     acts = md.alcove.current_actions
     row = np.flatnonzero(acts[:, 0] == j)
     if len(row):
@@ -37,10 +38,10 @@ def current_action(md: ModularData, j: int) -> tuple:
     elif abs(md.qdims[j] - 1.0) < POINTED_TOL:     # E8 level 2
         perm = np.array([next(iter(md.fusion.row(j, i)))
                          for i in range(md.rank)])
+        check_action(md, j, perm)
     else:
         raise NotInvertibleError(
             f"index {j}: quantum dimension {md.qdims[j]:.12g} is not 1")
-    check_action(md, j, perm)
     return tuple(perm.tolist())
 
 
@@ -53,13 +54,15 @@ def cycle_length(perm) -> int:
     return n
 
 
-def monodromy_charges(md: ModularData, j: int, perm) -> np.ndarray:
+def monodromy_charges(x, perms) -> np.ndarray:
     """2P Q_J(lambda) for every alcove index lambda, as the int64 array
-    (T_J + T - T[perm]) mod 2P, where perm is the action of J and
-    Q_J(lambda) = h_J + h_lambda - h_{J lambda} mod 1 is the monodromy
-    charge, from the exact twist numerators (h = T / 2P mod 1)."""
-    t, period = md.twist_numerators
-    return (t[j] + t - t[np.asarray(perm)]) % (2 * period)
+    (T_J + T - T[perm]) mod 2P for perm the action of J = perm[0], or for
+    each row of a stack of actions.  Q_J(lambda) = h_J + h_lambda - h_{J
+    lambda} mod 1 is the monodromy charge, from the exact twist numerators
+    of x, an Alcove or ModularData (h = T / 2P mod 1)."""
+    t, period = x.twist_numerators
+    p = np.asarray(perms)
+    return (t[p[..., :1]] + t - t[p]) % (2 * period)
 
 
 def orbit_reps(acts, rank) -> tuple:
@@ -74,21 +77,21 @@ def orbit_reps(acts, rank) -> tuple:
     return rep, np.flatnonzero(rep == np.arange(n)), move
 
 
-def check_action(md: ModularData, j: int, perm) -> None:
+def check_action(x, j: int, perm) -> None:
     """AssertionError unless perm is a bijection of the alcove that sends
     the unit to j, keeps quantum dimensions, and has N Q_J(lambda) integral
-    for every lambda, N the order of J."""
+    for every lambda, N the order of J; x is an Alcove or ModularData."""
     p = np.asarray(perm, dtype=np.int64)
-    if p[0] != j or not np.array_equal(np.sort(p), np.arange(md.rank)):
+    if p[0] != j or not np.array_equal(np.sort(p), np.arange(x.rank)):
         raise AssertionError(f"action of index {j} is not a bijection "
                              "sending the unit to it")
-    q = md.qdims
+    q = x.qdims
     gap = float(np.max(np.abs(q[p] - q) / q))
     if gap >= POINTED_TOL:
         raise AssertionError(f"action of index {j} changes a quantum "
                              f"dimension by {gap:.1e} relative")
-    period = md.twist_numerators[1]
-    if (cycle_length(p) * monodromy_charges(md, j, p) % (2 * period)).any():
+    period = x.twist_numerators[1]
+    if (cycle_length(p) * monodromy_charges(x, p) % (2 * period)).any():
         raise AssertionError(f"action of index {j} breaks the monodromy "
                              "charge")
 
@@ -114,19 +117,16 @@ class CurrentGroup:
 
     ``indices`` are the simples of quantum dimension 1 and always start
     with 0 (the unit).  ``actions[j]`` is the fusion permutation of the
-    current with alcove index j, and ``charges[j]`` its monodromy charges.
+    current with alcove index j.
     """
 
     md: ModularData
     indices: tuple = field(init=False)
     actions: dict = field(init=False)
-    charges: dict = field(init=False)
 
     def __post_init__(self):
         self.indices = self.md.pointed_indices
-        self.actions = {j: self.md.current_action(j) for j in self.indices}
-        self.charges = {j: monodromy_charges(self.md, j, self.actions[j])
-                        for j in self.indices}
+        self.actions = {j: current_action(self.md, j) for j in self.indices}
         assert self.indices[0] == 0
         if self.generated(self.indices) != self.indices:
             raise AssertionError("invertibles not closed under fusion")
@@ -192,6 +192,3 @@ class CurrentGroup:
         if bad:
             raise ValueError(f"subgroup is not Tannakian; twists != 1 at {bad}")
         return sub
-
-    def stabilizer_order(self, subgroup: tuple, i: int) -> int:
-        return sum(1 for h in subgroup if self.actions[h][i] == i)

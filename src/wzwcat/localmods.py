@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .currents import (POINTED_TOL, CurrentGroup, cycle_length,
-                       invariant_factors, orbit_reps)
+                       invariant_factors, monodromy_charges, orbit_reps)
 from .modular import ModularData, RationalAngle, gauss_phase
 
 
@@ -46,7 +46,7 @@ class LocalCategoryData:
         md, cg, sub = self.md, self.currents, self.subgroup
         # one row per current of H; column i is the H-orbit of i
         acts = np.array([cg.actions[h] for h in sub])
-        local = ~np.array([cg.charges[h] for h in sub]).any(axis=0)
+        local = ~monodromy_charges(md, acts).any(axis=0)
         self._rep, heads, _ = orbit_reps(acts, np.arange(md.rank))
         self.orbits = tuple(tuple(sorted(set(acts[:, i].tolist())))
                             for i in heads)
@@ -140,9 +140,9 @@ class LocalCategoryData:
         if any(s.split > 1 for s in pointed):
             raise ValueError("pointed part contains split pieces; "
                              "orbit-level grading is not resolvable")
-        charges = self.currents.charges
-        return sum(not any(charges[p.rep][s.rep] for p in pointed)
-                   for s in self.simples)
+        acts = self.currents.actions
+        charges = monodromy_charges(self.md, [acts[p.rep] for p in pointed])
+        return sum(not charges[:, s.rep].any() for s in self.simples)
 
     def self_dual_count(self) -> int:
         """Simples fixed by duality at orbit level; split pieces count with

@@ -69,13 +69,6 @@ class ModularData:
         self.alcove = Alcove(self.rs, k)
         self.k = k
         self.fusion = FusionTensor(self.alcove)
-        self._actions = {}
-
-    def current_action(self, j: int) -> tuple:
-        """currents.current_action of index j, built and checked once."""
-        if j not in self._actions:
-            self._actions[j] = currents.current_action(self, j)
-        return self._actions[j]
 
     @property
     def rank(self) -> int:
@@ -150,9 +143,7 @@ class ModularData:
                 f"{order} Weyl elements, over the cap |W| {WEYL_GROUP_CAP}")
         # the diagram currents, unit first, with their checked actions as
         # the rows of one array
-        js = self.alcove.current_actions[:, 0].tolist()
-        acts = np.array([np.arange(n)] + [self.current_action(j)
-                                          for j in js[1:]])
+        acts = self.alcove.current_actions
         rep, reps, move = currents.orbit_reps(acts, np.arange(n))
         m = len(reps)
         terms = order * m * (m + 1) // 2
@@ -191,22 +182,20 @@ class ModularData:
                 a0 += rows
         for a in range(1, m):
             u[a, :a] = u[:a, a]
-        s = u if m == n else self._fill_by_currents(u, acts, js, rep, reps,
-                                                    move)
+        s = u if m == n else self._fill_by_currents(u, acts, rep, reps, move)
         s /= np.linalg.norm(s[0])
         # common phase so the vacuum entry is real positive
         s *= cmath.exp(-1j * cmath.phase(s[0, 0]))
         return s
 
-    def _fill_by_currents(self, u, acts, js, rep, reps, move) -> np.ndarray:
+    def _fill_by_currents(self, u, acts, rep, reps, move) -> np.ndarray:
         """The n x n S from its block u on the orbit reps: S_ab =
         exp(2 pi i (Q_g(b) + Q_h(rep a))) u[rep a, rep b], where the
         currents g = move[a] and h = move[b] take rep(a) to a and rep(b)
         to b, and 2P Q_J are the exact integer charges, looked up in a
         table of the 2P roots."""
         n = self.rank
-        charges = np.array([currents.monodromy_charges(self, j, p)
-                            for j, p in zip(js, acts)])
+        charges = currents.monodromy_charges(self, acts)
         col = np.searchsorted(reps, rep)   # index of rep(a) in u
         period = self.twist_numerators[1]
         # twice over, so that a sum of two charges needs no reduction

@@ -491,6 +491,21 @@ def test_data_json_serialises_each_bundle_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
+def test_leftover_temporary_cache_entry_is_replaced(tmp_path, capsys):
+    # a run killed while writing leaves its temporary entry behind; a later
+    # run with the same pid writes over it
+    args = ["data", "B", "2", "3", "--format", "json"]
+    assert cli.main(args) == 0
+    uncached = capsys.readouterr().out
+    (tmp_path / f"B2-k3.json.{os.getpid()}.tmp").write_text("partial")
+    args += ["--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == uncached
+    assert [p.name for p in tmp_path.iterdir()] == ["B2-k3.json"]
+    assert cli.load_or_build_bundle("B", 2, 3, tmp_path) == (
+        uncached.rstrip("\n"), True)
+
+
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):
     args = ["data", "B", "2", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]

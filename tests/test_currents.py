@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wzwcat import currents, fusion
+from wzwcat import alcove, currents, fusion
+from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.currents import (CurrentGroup, NotInvertibleError, check_action,
                              current_action, invariant_factors)
 from wzwcat.modular import ModularData
@@ -20,6 +21,12 @@ def current_orbit(cg, subgroup, i):
     """Reference H-orbit of alcove index i, sorted: the image of i under
     each current of the subgroup."""
     return tuple(sorted({cg.actions[h][i] for h in subgroup}))
+
+
+def stabilizer_order(cg, subgroup, i):
+    """Reference order of the stabilizer of alcove index i in the subgroup:
+    the currents whose action fixes i."""
+    return sum(cg.actions[h][i] == i for h in subgroup)
 
 
 def test_invertible_counts_match_centers():
@@ -146,11 +153,11 @@ def test_orbit_stabilizer_lagrange():
     full = tuple(cg.indices)
     for i in range(md.rank):
         orb = current_orbit(cg, full, i)
-        assert len(orb) * cg.stabilizer_order(full, i) == cg.order
+        assert len(orb) * stabilizer_order(cg, full, i) == cg.order
     # (1,1,1) is fixed by the whole Z/4
     fixed = _index(md, (1, 1, 1))
     assert current_orbit(cg, full, fixed) == (fixed,)
-    assert cg.stabilizer_order(full, fixed) == 4
+    assert stabilizer_order(cg, full, fixed) == 4
     # the unit's orbit is the group itself
     assert current_orbit(cg, full, 0) == cg.indices
 
@@ -162,11 +169,25 @@ def test_element_orders():
     assert orders == [1, 2, 4, 4]
 
 
+def _count_checks(monkeypatch) -> Counter:
+    """Calls of check_action by current index, through both its bindings."""
+    checks, check = Counter(), currents.check_action
+
+    def counted(x, j, perm):
+        checks[int(j)] += 1
+        return check(x, j, perm)
+
+    monkeypatch.setattr(currents, "check_action", counted)
+    monkeypatch.setattr(alcove, "check_action", counted)
+    return checks
+
+
 def test_each_current_action_is_built_once(monkeypatch):
-    # S takes the three non-unit diagram currents of A3 level 4, and
-    # CurrentGroup the four invertibles; each action is built and checked
-    # once, through the module binding
-    calls = Counter()
+    # CurrentGroup takes the four invertibles of A3 level 4 through the
+    # module binding, once each; S and the fold route read the alcove's
+    # rows without it.  Each of the three non-unit diagram currents is
+    # checked once, where Alcove.current_actions builds it
+    calls, checks = Counter(), _count_checks(monkeypatch)
     build = currents.current_action
 
     def counted(md, j):
@@ -176,9 +197,51 @@ def test_each_current_action_is_built_once(monkeypatch):
     monkeypatch.setattr(currents, "current_action", counted)
     md = ModularData("A", 3, 4)
     md.smatrix
+    md.fusion.row(1, 1)
     cg = CurrentGroup(md)
     assert len(cg.indices) == 4
     assert calls == Counter(cg.indices)
+    diagram = md.alcove.current_actions[1:, 0].tolist()
+    assert len(diagram) == 3
+    assert checks == Counter(diagram)
+
+
+def test_fold_route_current_is_checked_once(monkeypatch):
+    # E8 level 2 has no diagram current; its current omega_1 is built from
+    # fold rows and checked once, in current_action
+    checks = _count_checks(monkeypatch)
+    md = ModularData("E", 8, 2)
+    cg = CurrentGroup(md)
+    psi = _index(md, (1,) + (0,) * 7)
+    assert cg.indices == (0, psi)
+    assert checks == Counter({psi: 1})
+
+
+def test_fold_route_reads_checked_actions(monkeypatch):
+    # the fold route relabels products by the alcove's current actions,
+    # which are checked before it reads them
+    monkeypatch.setattr(Alcove, "qdims", property(
+        lambda self: np.arange(1.0, self.rank + 1)))
+    with pytest.raises(AssertionError, match="changes a quantum dimension"):
+        fusion.fuse_weights(make_alcove("A", 3, 4), 1, 1)
+
+
+@pytest.mark.parametrize("case", [("A", 3, 4), ("D", 4, 8), ("E", 6, 3),
+                                  ("E", 8, 2)])
+def test_monodromy_charges_of_a_stack_are_its_rows(case):
+    # one formula for one action or a stack of them, on ModularData or its
+    # alcove; E8 level 2 brings the fold-route current
+    md = ModularData(*case)
+    cg = CurrentGroup(md)
+    acts = np.array([cg.actions[j] for j in cg.indices])
+    t, period = md.twist_numerators
+    got = currents.monodromy_charges(md, acts)
+    assert got.shape == acts.shape
+    assert np.array_equal(currents.monodromy_charges(md.alcove, acts), got)
+    for j, perm, row in zip(cg.indices, acts, got):
+        ref = (t[j] + t - t[perm]) % (2 * period)
+        assert np.array_equal(row, ref)
+        assert np.array_equal(currents.monodromy_charges(md, perm), ref)
 
 
 # weights a with more than one row of the diagram currents taking rep(a)

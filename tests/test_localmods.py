@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_currents import current_orbit
+from test_currents import current_orbit, stabilizer_order
 
 from wzwcat.currents import invariant_factors
 from wzwcat.localmods import (LocalCategoryData, _deduce_abelian_structure,
@@ -21,7 +21,7 @@ def free_fusion(loc, a, b):
     orbit, scaled by the stabilizer order.
     """
     for x in (a, b):
-        if loc.currents.stabilizer_order(loc.subgroup, x) != 1:
+        if stabilizer_order(loc.currents, loc.subgroup, x) != 1:
             raise ValueError("free_fusion needs weights with trivial "
                              "stabilizer")
     rep_of, stab_of = {}, {}
@@ -227,7 +227,7 @@ def test_free_fusion_dimension_bookkeeping():
         loc = local_category(series, rank, k)
         md, cg = loc.md, loc.currents
         free = [i for i in range(md.rank)
-                if cg.stabilizer_order(loc.subgroup, i) == 1]
+                if stabilizer_order(cg, loc.subgroup, i) == 1]
         stab = {orb[0]: len(loc.subgroup) // len(orb) for orb in loc.orbits}
         for a in free[:4]:
             for b in free[:4]:

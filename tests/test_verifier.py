@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_currents import stabilizer_order
 
 from wzwcat import verifier as V
 from wzwcat.alcove import Alcove, count_alcove, make_alcove
@@ -184,7 +185,7 @@ def _reference_obstruction(series, rank, k, subgroup="auto"):
         sub = cg.check_tannakian([by_weight[tuple(w)] for w in subgroup])
     b = V.probe_weight(md.rs)
     bi = md.alcove.index[b]
-    nonfree = [i for i in range(md.rank) if cg.stabilizer_order(sub, i) > 1]
+    nonfree = [i for i in range(md.rank) if stabilizer_order(cg, sub, i) > 1]
     dim_beta = float(md.qdims[bi])
     mind = min((float(md.qdims[i]) for i in nonfree), default=math.inf)
     return V.ObstructionReport(
@@ -192,7 +193,7 @@ def _reference_obstruction(series, rank, k, subgroup="auto"):
         subgroup=tuple(md.weights[j] for j in sub),
         center_order=cg.order,
         beta=b,
-        beta_free_simple=cg.stabilizer_order(sub, bi) == 1,
+        beta_free_simple=stabilizer_order(cg, sub, bi) == 1,
         dim_beta=dim_beta,
         min_nonfree_dim=mind,
         inequality_holds=mind * mind > cg.order ** 2 * dim_beta,
