@@ -63,13 +63,12 @@ class Alcove:
     k: int
     weights: tuple = field(init=False)
     index: dict = field(init=False)
-    # filled by the fusion module: the orbit data of the currents, and
-    # the folded products of each orbit representative that is expanded
-    # with the representatives after it, by representative (the only
-    # fusion cache); and every point those blocks folded, with its fold
+    # filled by the fusion module: the orbit data of the currents, the
+    # products of every pair of orbit representatives (fusion._fold_table,
+    # the only fusion cache), and every point it folded, with its fold
     # (fusion._fold_box)
     _orbits: tuple = field(init=False, default=None, repr=False)
-    _blocks: dict = field(init=False, default_factory=dict, repr=False)
+    _table: tuple = field(init=False, default=None, repr=False)
     _folds: tuple = field(init=False, default=None, repr=False)
 
     def __post_init__(self):

@@ -176,15 +176,19 @@ def _header(text: bytes) -> bytes:
 def load_or_build_bundle(series, rank, k, cache_dir=None):
     """Returns (json_text, from_cache).  A cache entry, one per case, holds
     the source hash and the SHA-256 hex of the text on its first line,
-    then the text; a hit is the stored text, undecoded, once both match."""
+    then the text; a hit is the stored ASCII bytes, undecoded, once both
+    match, and a miss the fresh str."""
     path = None
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)    # unusable: fail early
         path = cache_dir / f"{series}{rank}-k{k}.json"
         if path.exists():
-            head, _, text = path.read_bytes().partition(b"\n")
-            if head == _header(text):   # else truncated, corrupt or stale
-                return text.decode("ascii"), True
+            # unbuffered: the text is read into one object, not copied
+            with open(path, "rb", buffering=0) as f:
+                head, text = f.readline(), f.readall()
+            if head == _header(text) + b"\n":  # else truncated, corrupt or stale
+                return text, True
+            del text                # not held while the bundle is built
     text = bundle_to_json(build_bundle(ModularData(series, rank, k)))
     if path is not None:
         data = text.encode("ascii")
@@ -221,11 +225,20 @@ def _check_out(path: str) -> None:
         raise OSError(f"--out {path!r} cannot be written")
 
 
-def _emit(ns, text: str) -> None:
-    if ns.out:
+def _emit(ns, text) -> None:
+    """text and a newline to --out or stdout.  ASCII bytes, a cache hit,
+    go out undecoded wherever the target takes bytes (a StringIO stdout
+    does not), so the entry is held once."""
+    if isinstance(text, bytes) and not ns.out and hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()          # what was printed before comes first
+        sys.stdout.buffer.write(text)
+        sys.stdout.buffer.write(b"\n")
+    elif isinstance(text, bytes) and ns.out:
+        Path(ns.out).write_bytes(text + b"\n")
+    elif ns.out:
         Path(ns.out).write_text(text + "\n")
     else:
-        print(text)
+        print(text if isinstance(text, str) else text.decode("ascii"))
 
 
 def _parse_subgroup(md: ModularData, spec: str):

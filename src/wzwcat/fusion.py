@@ -13,9 +13,11 @@ import numpy as np
 
 from .alcove import Alcove
 from .currents import orbit_reps
-from .rootsys import place_values, weight_system
+from .rootsys import (DIMENSION_CAP, CapacityError, freudenthal,  # noqa: F401
+                      integer_form, orbit_walk, place_values,
+                      weight_system)  # not called: perfbench/tracing.py wraps it
 
-FOLD_CHUNK = 16384  # points per group, and per Alcove.fold call
+FOLD_CHUNK = 16384  # terms per fold-table group, points per Alcove.fold call
 
 
 def fuse_weights(alc: Alcove, i: int, j: int) -> dict:
@@ -26,18 +28,16 @@ def fuse_weights(alc: Alcove, i: int, j: int) -> dict:
     automorphisms, so N_{Ja,J'b}^{JJ'c} = N_ab^c (Fuchs, CMP 136, 1991):
     only products of current-orbit representatives are folded, and every
     other product is one of those relabelled by the composed action of the
-    two currents.  Of the two representatives, the one e with the smaller
-    (Weyl dimension, index) is expanded.  The first product that expands e
-    folds e's weight system against every later representative, in one
-    block cached on the alcove; later products are lookups in that block.
+    two currents.  The first product on an alcove folds every pair of
+    representatives into one table (_fold_table), and so refuses what
+    FusionTensor.check_full_table refuses; later ones are lookups.
     """
     order, rep, move, composite = alc._orbits or _current_orbits(alc)
-    e, b = rep[i], rep[j]
-    if order[b] < order[e]:
+    position, bounds, labels, counts = alc._table or _fold_table(alc)
+    e, b = position[rep[i]], position[rep[j]]
+    if b < e:
         e, b = b, e
-    block = alc._blocks.get(e) or _fold_block(alc, e)
-    position, bounds, labels, counts = block
-    p = position[b]
+    p = b * (b + 1) // 2 + e
     lo, hi = bounds[p], bounds[p + 1]
     w = composite[move[i]][move[j]]
     return {w[l]: c for l, c in zip(labels[lo:hi], counts[lo:hi])}
@@ -62,53 +62,80 @@ def _current_orbits(alc: Alcove) -> tuple:
     return alc._orbits
 
 
-def _fold_block(alc: Alcove, e: int) -> tuple:
-    """Every product e x b of the representative e, which is expanded,
-    with a representative b of order at least e's, as ({b: position}, row
-    bounds, alcove indices, coefficients): the products of the partner at
-    position p are entries bounds[p]:bounds[p + 1].  Kept in alc._blocks.
+def _representatives(alc: Alcove) -> list:
+    """The current-orbit representatives in (Weyl dimension, index) order;
+    refuses the table when the last, the largest, is over DIMENSION_CAP."""
+    order, rep = (alc._orbits or _current_orbits(alc))[:2]
+    reps = sorted(set(rep), key=order.__getitem__)
+    if alc.weyl_dims[reps[-1]] > DIMENSION_CAP:
+        raise CapacityError(f"dim {alc.rs.name} {alc.weights[reps[-1]]} "
+                            f"exceeds {DIMENSION_CAP}")
+    return reps
 
-    Each point is folded once per alcove.  A point's code is its
-    mixed-radix code in a box that holds every point of every block: label
-    i of lambda_b + nu lies in [-L, k // comark_i + L], for L the largest
-    <lambda, alpha> over the alcove, which bounds the labels of every
-    weight system of the alcove (rootsys.weight_system).  Codes are int64
-    while the box fits, else Python ints.  alc._folds keeps the sorted
-    codes of the points folded so far with their (sign, index), and only
-    points new to it are passed to Alcove.fold.
 
-    Partners are taken in groups small enough that a group's points and
-    its dense (partners x alcove) sums each fit FOLD_CHUNK, unless one
-    partner's weight system or one row alone is larger; new points are
-    folded FOLD_CHUNK at a time.
+def _fold_table(alc: Alcove) -> tuple:
+    """The products of the representatives at positions e <= b of
+    _representatives, as ({representative: position}, row bounds, alcove
+    indices, coefficients); pair (e, b) has entries bounds[p]:bounds[p + 1]
+    for p = b (b + 1) / 2 + e.  Kept in alc._table.
+
+    Kac-Walton by orbit sums: N_eb^c = sum_mu M[e, mu] A_b[mu, c], for M
+    the multiplicities of the dominant weights mu of every e (one
+    freudenthal) and A_b[mu, c] the signed count of the points lambda_b +
+    W mu that fold to c.  These mu are the alcove weights with lambda_e -
+    mu in the positive root cone: theta pairs >= 0 with every positive
+    root, so mu <= lambda_e has at most lambda_e's level.  Walked by the
+    first e that holds each, they give partner b a prefix of the points.
+    Partners go in groups whose points, counted once per e <= b that holds
+    their weight, fit FOLD_CHUNK (or hold one partner), and a group is
+    reduced to rows before the next.  Each point is folded once per
+    alcove, through the memo alc._folds (_fold_box): only points new to it
+    reach Alcove.fold, FOLD_CHUNK at a time.
     """
-    n, (order, rep) = alc.rank, alc._orbits[:2]
-    partners = [b for b in range(n) if rep[b] == b and order[b] >= order[e]]
-    ws = weight_system(alc.rs, alc.weights[e])
-    nus, mult = ws["point"], ws["mult"]
+    reps, n, rs = _representatives(alc), alc.rank, alc.rs
+    count = len(reps)
+    # (lambda_e - mu) G / (D d_j) are the root coordinates of lambda_e - mu
+    denom, gram = integer_form(rs)
+    span = alc.labels @ gram
+    coset = span % (denom * np.array(rs.d))
+    held = ((span[reps, None] >= span).all(axis=2)
+            & (coset[reps, None] == coset).all(axis=2))
+    first = np.vstack([held, np.ones(n, dtype=bool)]).argmax(axis=0)
+    by_first = np.argsort(first, kind="stable")
+    doms = alc.labels[by_first[:np.count_nonzero(first < count)]]
+    nus, owner = orbit_walk(rs, doms)
+    by_owner = np.argsort(owner, kind="stable")
+    nus, owner = nus.take(by_owner, axis=0), owner.take(by_owner)
+    m = freudenthal(rs, doms, np.argsort(by_first)[reps], nus, owner)
+    orbit = np.bincount(owner)
+    if (m @ orbit != [alc.weyl_dims[r] for r in reps]).any():
+        raise AssertionError("multiplicities do not sum to the dimension")
+    mu_of, e_of = np.nonzero(m.T)           # the M[e, mu] != 0 by mu, then e
+    mult, e_key = m[e_of, mu_of], mu_of * count + e_of
+    column = np.searchsorted(mu_of, np.arange(len(doms)))
+    size = np.searchsorted(owner, np.searchsorted(
+        np.sort(first)[:len(doms)], np.arange(count), side="right"))
+    ends = np.concatenate([[0], np.cumsum(size)])
+    cost = np.concatenate([[0], np.cumsum(np.cumsum((m != 0) @ orbit))])
     if alc._folds is None:
         alc._folds = _fold_box(alc)
     place, shift = alc._folds[:2]
-    base = alc.labels[partners]
-    base_codes = base @ place
-    nu_codes = nus @ place + shift
-    # nu by code: each partner's codes are then one ascending run, which
-    # searchsorted walks faster than scattered keys
-    by_code = np.argsort(nu_codes)
-    mult, nu_codes = mult.take(by_code), nu_codes.take(by_code)
-    m = len(nus)
-    step = max(1, FOLD_CHUNK // max(m, n))
+    base = alc.labels[reps]
+    base_codes, nu_codes = base @ place, nus @ place + shift
     bounds, labels, counts = [0], [], []
-    for g in range(0, len(partners), step):
-        size = min(step, len(partners) - g)
-        codes = (base_codes[g:g + size, None] + nu_codes).ravel()
+    g = 0
+    while g < count:
+        h = max(g + 1, np.searchsorted(cost, cost[g] + FOLD_CHUNK, "right") - 1)
+        part = np.repeat(np.arange(g, h), size[g:h])
+        t = np.arange(len(part)) - (ends[part] - ends[g])
+        codes = base_codes.take(part) + nu_codes.take(t)
         known, folds = alc._folds[2:]
         at = np.searchsorted(known, codes)
         new = known.take(at) != codes
         if new.any():
-            fresh, first = np.unique(codes[new], return_index=True)
-            pos, t = np.divmod(np.flatnonzero(new)[first], m)
-            points = base.take(g + pos, axis=0) + nus.take(by_code[t], axis=0)
+            fresh, one = np.unique(codes[new], return_index=True)
+            pos = np.flatnonzero(new)[one]
+            points = base.take(part[pos], axis=0) + nus.take(t[pos], axis=0)
             got = np.empty((len(points), 2), dtype=np.int64)
             for c in range(0, len(points), FOLD_CHUNK):
                 got[c:c + FOLD_CHUNK].T[:] = alc.fold(points[c:c + FOLD_CHUNK])
@@ -121,26 +148,38 @@ def _fold_block(alc: Alcove, e: int) -> tuple:
             alc._folds = (place, shift, known, folds)
             at = np.searchsorted(known, codes)
         # take, not folds[at]: several times faster on (N, 2) rows
-        sign, index = folds.take(at, axis=0).T.reshape(2, size, m)
-        # float sums of integers below 2**53 are exact: a group's terms
-        # total at most FOLD_CHUNK times DIMENSION_CAP in absolute value
-        keys = index + np.arange(0, size * n, n)[:, None]
-        sums = np.bincount(keys.ravel(), weights=(sign * mult).ravel(),
-                           minlength=size * n).astype(np.int64)
+        sign, index = folds.take(at, axis=0).T
+        # A_b[mu, c] by (b, mu, c), then each times the M[e, mu] != 0 with
+        # e <= b, summed by (b, e, c).  Float sums of integers below 2**53
+        # are exact: a pair's terms total at most dim e <= DIMENSION_CAP
+        keys, inv = np.unique((part * len(doms) + owner.take(t)) * n + index,
+                              return_inverse=True)
+        a = np.bincount(inv, weights=sign).astype(np.int64)
+        keys, a = keys[a != 0], a[a != 0]
+        b, c = np.divmod(keys, n)
+        b, mu = np.divmod(b, len(doms))
+        reach = np.searchsorted(e_key, mu * count + b, "right") - column[mu]
+        x = (np.repeat(column[mu] - np.cumsum(reach) + reach, reach)
+             + np.arange(reach.sum()))
+        keys, inv = np.unique((np.repeat(b, reach) * count + e_of.take(x)) * n
+                              + np.repeat(c, reach), return_inverse=True)
+        sums = np.bincount(inv, weights=np.repeat(a, reach) * mult.take(x)
+                           ).astype(np.int64)
+        (b, e), index = np.divmod(keys // n, count), keys % n
         if (sums < 0).any():
             w = alc.weights
-            bad = [(w[e], w[partners[g + q]], w[l], int(sums[q * n + l]))
-                   for q, l in zip(*np.divmod(np.flatnonzero(sums < 0), n))]
+            bad = [(w[reps[y]], w[reps[z]], w[l], v) for y, z, l, v in zip(
+                e.tolist(), b.tolist(), index.tolist(), sums.tolist()) if v < 0]
             raise AssertionError(f"negative fusion coefficients: {bad}")
-        keys = np.flatnonzero(sums)
-        pos, index = np.divmod(keys, n)
-        bounds += (len(labels) + np.searchsorted(pos, np.arange(1, size + 1))
-                   ).tolist()
-        labels += index.tolist()
-        counts += sums[keys].tolist()
-    alc._blocks[e] = ({b: p for p, b in enumerate(partners)}, bounds,
-                      labels, counts)
-    return alc._blocks[e]
+        live = sums != 0
+        bounds += (len(labels) + np.searchsorted(
+            (b * (b + 1) // 2 + e)[live],
+            np.arange(g * (g + 1) // 2, h * (h + 1) // 2) + 1)).tolist()
+        labels += index[live].tolist()
+        counts += sums[live].tolist()
+        g = h
+    alc._table = ({r: p for p, r in enumerate(reps)}, bounds, labels, counts)
+    return alc._table
 
 
 def _fold_box(alc: Alcove) -> tuple:
@@ -161,20 +200,16 @@ def _fold_box(alc: Alcove) -> tuple:
 
 class FusionTensor:
     """All coefficients N_{ij}^l of an alcove, read on demand from the
-    alcove's fold blocks, its only fusion cache."""
+    alcove's fold table, its only fusion cache."""
 
     def __init__(self, alc: Alcove):
         self.alcove = alc
 
     def check_full_table(self) -> None:
-        """Refuse a table over DIMENSION_CAP before any fold: fold first the
-        square of the current-orbit representative last in (Weyl dimension,
-        index) order, which builds the table's largest weight system."""
-        alc = self.alcove
-        order, rep = (alc._orbits or _current_orbits(alc))[:2]
-        last = max(set(rep), key=order.__getitem__)
-        if last not in alc._blocks:
-            _fold_block(alc, last)
+        """Refuse a table over DIMENSION_CAP before any walk or fold: when
+        the current-orbit representative last in (Weyl dimension, index)
+        order, the largest that the table expands, is over the cap."""
+        _representatives(self.alcove)
 
     def row(self, i: int, j: int) -> dict:
         """{l: N_{ij}^l} by alcove index, in no particular order."""

@@ -266,6 +266,84 @@ def integer_form(rs: RootSystem) -> tuple:
                             for row in rs.quad_form], dtype=np.int64)
 
 
+def orbit_walk(rs: RootSystem, doms) -> tuple:
+    """(points, owner): each point of the Weyl orbits of doms, an (N, rank)
+    array of dominant weights, once, with the row of its dominant weight.
+    Layer by layer, a child s_i y of y (y_i > 0) is kept where i is its
+    first negative label, which names its one parent.  A label of w(mu) is
+    at most top = max <mu, alpha>, and y_i a_ij within 3 top."""
+    top = int((np.asarray(doms) @ rs.pairing_matrix).max(initial=0))
+    walk = np.min_scalar_type(-3 * top - 1)
+    cartan = np.array(rs.cartan, dtype=walk)
+    y, owner = np.array(doms, dtype=walk), np.arange(len(doms))
+    layers = [(y, owner)]
+    while len(y):
+        rows, nodes = np.nonzero(y > 0)
+        kids = y[rows] - y[rows, nodes][:, None] * cartan[nodes]
+        keep = (kids < 0).argmax(axis=1) == nodes
+        y, owner = kids[keep], owner[rows[keep]]
+        layers.append((y, owner))
+    return tuple(np.concatenate(c) for c in zip(*layers))
+
+
+def freudenthal(rs: RootSystem, doms, tops, points, owner) -> np.ndarray:
+    """M[t, x], the multiplicity of doms[x] in the representation of
+    highest weight doms[tops[t]], as int64, for doms a downward-closed set
+    of dominant weights and (points, owner) its orbit_walk.
+
+    Dominant-weight Freudenthal (Moody and Patera, Bull. AMS 7, 1982) on
+    every top at once, in exact integers with (D, G) from integer_form,
+    each mu after every mu + j alpha (by <mu, 2 rho>): D (|lam + rho|^2 -
+    |mu + rho|^2) m(mu) = 2 D sum m(mu + j alpha) <mu + j alpha, alpha>
+    over alpha > 0 and j > 0.  mu + j alpha has the multiplicity of its
+    owner, found by code; strings are unbroken, so each stops at its first
+    miss.  A denominator <= 0 must come with a numerator 0: mu is then no
+    weight of the top, nor is any mu + j alpha.  Callers keep each top's
+    dimension, which bounds its multiplicities, under DIMENSION_CAP, and
+    the sums with it in int64.
+    """
+    dom = np.asarray(doms, dtype=np.int64)
+    alabs, pairing = rs.root_label_matrix, rs.pairing_matrix
+    # balanced mixed-radix codes with digits in [-top - t, top + t], t the
+    # largest root label: mu + j alpha one step past a weight has a code of
+    # its own, so a miss is never read as another weight
+    top = int((dom @ pairing).max(initial=0))
+    t = int(np.abs(alabs).max())
+    place = place_values([2 * (top + t) + 1] * rs.rank)
+    codes = points @ place
+    codes, by_owner = codes.take(by := codes.argsort()), owner.take(by)
+    # the strings mu + j alpha, j = 1, 2, ... while they hit: a hit is a
+    # term (mu, owner of mu + j alpha, <mu + j alpha, alpha>)
+    a_codes, a_norms = alabs @ place, (alabs * pairing.T).sum(axis=1)
+    mu, a = np.indices((len(dom), len(alabs))).reshape(2, -1)
+    code, val = (dom @ place)[mu] + a_codes[a], (dom @ pairing)[mu, a]
+    terms = [(mu[:0], mu[:0], mu[:0])]
+    while len(mu):
+        val = val + a_norms[a]
+        at = np.searchsorted(codes, code)
+        hit = codes.take(at, mode="clip") == code
+        mu, a, code, val, at = mu[hit], a[hit], code[hit], val[hit], at[hit]
+        terms.append((mu, by_owner.take(at), val))
+        code = code + a_codes.take(a)
+    mu, of, val = (np.concatenate(c) for c in zip(*terms))
+    o = mu.argsort(kind="stable")
+    bounds = np.searchsorted(mu.take(o), np.arange(len(dom) + 1)).tolist()
+    of, val = of.take(o), val.take(o)
+    denom, gram = integer_form(rs)
+    norm = ((dom + 1) @ gram * (dom + 1)).sum(axis=1)
+    dens = norm[tops][:, None] - norm
+    m = np.zeros((len(tops), len(dom)), dtype=np.int64)
+    m[np.arange(len(tops)), tops] = 1
+    for x in np.argsort(-(dom @ pairing).sum(axis=1), kind="stable").tolist():
+        lo, hi = bounds[x], bounds[x + 1]
+        num, den = 2 * denom * (m[:, of[lo:hi]] @ val[lo:hi]), dens[:, x]
+        live = den > 0
+        if num[~live].any() or (num[live] % den[live]).any():
+            raise AssertionError("Freudenthal division failed")
+        m[live, x] = num[live] // den[live]
+    return m
+
+
 # weight systems of every type, by (series, rank, lam), for the life of
 # the process: they do not depend on the level
 _WEIGHT_SYSTEMS: dict = {}
@@ -276,17 +354,10 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
     read-only structured array: ``point`` the Dynkin labels, ``mult`` the
     multiplicity (int32).  Each (type, lam) is computed once per process.
 
-    Dominant-weight Freudenthal (Moody and Patera, Bull. AMS 7, 1982), in
-    exact integer arithmetic.  The dominant weights mu <= lam come from lam
-    by subtracting positive roots: the covers of the dominance order on
-    dominant weights are positive roots (Stembridge, 1998).  Their Weyl
-    orbits are walked together, and each orbit point comes out once with its
-    owner, the index of its dominant weight.  The recursion runs on the
-    dominant weights alone, in increasing height of lam - mu: the term of
-    mu + j alpha is the multiplicity of its owner, found by code, which lies
-    strictly above mu; strings are unbroken, so each stops at its first
-    miss.  Raises CapacityError beyond DIMENSION_CAP, before any
-    enumeration, to keep runaway requests loud.
+    The dominant weights mu <= lam come from lam by subtracting positive
+    roots: the covers of the dominance order on dominant weights are
+    positive roots (Stembridge, 1998).  Raises CapacityError beyond
+    DIMENSION_CAP, before any enumeration, to keep runaway requests loud.
     """
     lam = tuple(int(x) for x in lam)
     if min(lam) < 0:
@@ -297,9 +368,8 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
     (dim,) = weyl_dimensions(rs, [lam])
     if dim > DIMENSION_CAP:
         raise CapacityError(f"dim {rs.name} {lam} exceeds {DIMENSION_CAP}")
-    alabs, pairing = rs.root_label_matrix, rs.pairing_matrix
     # dominant weights mu <= lam, with the root coordinates of lam - mu
-    roots = list(zip(rs.pos_roots, alabs.tolist()))
+    roots = list(zip(rs.pos_roots, rs.root_label_matrix.tolist()))
     coords, layer = {lam: (0,) * rs.rank}, [lam]
     while layer:
         nxt = []
@@ -312,60 +382,11 @@ def weight_system(rs: RootSystem, lam: Weight) -> np.ndarray:
                     nxt.append(x)
         layer = nxt
     doms = sorted(coords, key=lambda w: sum(coords[w]))
-    # a label of mu = w(nu), for nu <= lam dominant, is some <nu, beta^vee>,
-    # at most max <lam, alpha>; dim <= DIMENSION_CAP bounds every mult
-    top = int((np.array(lam) @ pairing).max())
-    # a child s_i y of y (y_i > 0) is kept where i is its first negative
-    # label, which names its one parent; products y_i a_ij stay within 3 top
-    walk = np.min_scalar_type(-3 * top - 1)
-    cartan = np.array(rs.cartan, dtype=walk)
-    y, owner = np.array(doms, dtype=walk), np.arange(len(doms))
-    layers = [(y, owner)]
-    while len(y):
-        rows, nodes = np.nonzero(y > 0)
-        kids = y[rows] - y[rows, nodes][:, None] * cartan[nodes]
-        keep = (kids < 0).argmax(axis=1) == nodes
-        y, owner = kids[keep], owner[rows[keep]]
-        layers.append((y, owner))
-    points, owner = (np.concatenate(c) for c in zip(*layers))
-    # balanced mixed-radix codes with digits in [-top - t, top + t], t the
-    # largest root label: mu + j alpha one step past a weight has a code of
-    # its own, so a miss is never read as another weight
-    t = int(np.abs(alabs).max())
-    place = place_values([2 * (top + t) + 1] * rs.rank)
-    codes = points @ place
-    codes, by_owner = codes.take(by := codes.argsort()), owner.take(by)
-    # the strings mu + j alpha, mu < lam dominant, j = 1, 2, ... while they
-    # hit: a hit is a term (mu, owner of mu + j alpha, <mu + j alpha, alpha>)
-    dom = np.array(doms, dtype=np.int64)
-    a_codes, a_norms = alabs @ place, (alabs * pairing.T).sum(axis=1)
-    mu, a = np.indices((len(doms), len(alabs))).reshape(2, -1)[:, len(alabs):]
-    code, val = (dom @ place)[mu] + a_codes[a], (dom @ pairing)[mu, a]
-    terms = [(mu[:0], mu[:0], mu[:0])]
-    while len(mu):
-        val = val + a_norms[a]
-        at = np.searchsorted(codes, code)
-        hit = codes.take(at, mode="clip") == code
-        mu, a, code, val, at = mu[hit], a[hit], code[hit], val[hit], at[hit]
-        terms.append((mu, by_owner.take(at), val))
-        code = code + a_codes.take(a)
-    mu, of, val = (np.concatenate(c) for c in zip(*terms))
-    o = mu.argsort(kind="stable")
-    bounds = np.searchsorted(mu.take(o), np.arange(len(doms) + 1)).tolist()
-    of, val = of.take(o).tolist(), val.take(o).tolist()
-    # |lam + rho|^2 - |mu + rho|^2 = <lam + mu + 2 rho, lam - mu>
-    dens = ((np.array([coords[w] for w in doms]) * rs.d)
-            * (dom + np.array(lam) + 2)).sum(axis=1).tolist()
-    mult = [1]
-    for x in range(1, len(doms)):
-        lo, hi = bounds[x], bounds[x + 1]
-        num = 2 * sum([mult[w] * v for w, v in zip(of[lo:hi], val[lo:hi])])
-        if num % dens[x]:
-            raise AssertionError("Freudenthal division failed")
-        mult.append(num // dens[x])
-    mult = np.array(mult).take(owner)
+    points, owner = orbit_walk(rs, doms)
+    mult = freudenthal(rs, doms, [0], points, owner)[0].take(owner)
     if mult.sum() != dim:
         raise AssertionError("multiplicities do not sum to the dimension")
+    top = int((np.array(lam) @ rs.pairing_matrix).max())
     ws = np.empty(len(points), dtype=[
         ("point", np.min_scalar_type(-1 - top), (rs.rank,)),
         ("mult", np.int32)])

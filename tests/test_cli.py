@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -503,7 +505,27 @@ def test_leftover_temporary_cache_entry_is_replaced(tmp_path, capsys):
     assert capsys.readouterr().out == uncached
     assert [p.name for p in tmp_path.iterdir()] == ["B2-k3.json"]
     assert cli.load_or_build_bundle("B", 2, 3, tmp_path) == (
-        uncached.rstrip("\n"), True)
+        uncached.rstrip("\n").encode(), True)
+
+
+def test_cache_hit_reaches_every_output_alike(tmp_path, capsys):
+    # a hit is bytes: written undecoded to a byte stdout, decoded for a
+    # text-only stdout and for --out, with the same text in each
+    args = ["data", "B", "2", "3", "--format", "json"]
+    assert cli.main(args) == 0
+    uncached = capsys.readouterr().out
+    args += ["--cache-dir", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == uncached
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == uncached
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(args) == 0
+    assert text.getvalue() == uncached
+    out = tmp_path / "out.json"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert out.read_text() == uncached
 
 
 def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys):

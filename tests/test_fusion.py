@@ -8,7 +8,7 @@ from test_rootsys import weight_dict
 from wzwcat import fusion
 from wzwcat.alcove import Alcove, make_alcove
 from wzwcat.fusion import FusionTensor, fuse_weights
-from wzwcat.rootsys import weight_system
+from wzwcat.rootsys import CapacityError, weight_system
 
 
 def fuse(a, lam, gamma):
@@ -161,20 +161,28 @@ def test_block_rows_match_scalar_folds(chunk, monkeypatch):
     # J swaps a0 and a1, with a0 + a1 + a2 = 3: fixes (0,0,3), (1,1,1)
     ("B", 2, 3, 6),
 ])
-def test_full_table_expands_one_weight_system_per_current_orbit(
-        series, rank, k, orbits, monkeypatch):
-    # only products of orbit representatives are folded, and each
-    # representative is expanded once, not each of the alcove's weights
+def test_full_table_runs_one_recursion_per_alcove(series, rank, k, orbits,
+                                                   monkeypatch):
+    # only products of orbit representatives are folded, and one
+    # Freudenthal recursion gives the multiplicities of every
+    # representative, one row each, with no weight system built
     calls = []
-    build = fusion.weight_system
+    recursion = fusion.freudenthal
 
-    def counted(rs, lam):
-        calls.append(tuple(lam))
-        return build(rs, lam)
+    def counted(rs, doms, tops, points, owner):
+        calls.append([tuple(doms[t].tolist()) for t in tops])
+        return recursion(rs, doms, tops, points, owner)
 
-    monkeypatch.setattr(fusion, "weight_system", counted)
-    list(FusionTensor(make_alcove(series, rank, k)).triples())
-    assert len(calls) == len(set(calls)) == orbits
+    def refused(rs, lam):
+        raise AssertionError("a weight system built on the fold route")
+
+    monkeypatch.setattr(fusion, "freudenthal", counted)
+    monkeypatch.setattr(fusion, "weight_system", refused)
+    a = make_alcove(series, rank, k)
+    list(FusionTensor(a).triples())
+    (tops,) = calls
+    assert len(tops) == len(set(tops)) == orbits
+    assert {a.index[w] for w in tops} == set(a._orbits[1])
 
 
 class _NoLookups(dict):
@@ -229,17 +237,36 @@ def test_each_distinct_point_is_folded_once_per_alcove(series, rank, k,
     assert set(passed) == points
 
 
-def test_rows_past_int64_codes_match_scalar_folds():
-    # C40 level 1: every label of lambda_b + nu lies in [-2, 3], a box of
-    # 6**40 > 2**63 points, so the fold memo codes them as Python ints
+def test_lone_product_of_a_refused_table_raises_before_any_walk(
+        monkeypatch):
+    # C40 level 1: the full table expands omega_20, of dimension over the
+    # cap, so even the product of the vector with itself is refused, with
+    # no orbit walk, no recursion and no fold
+    def refused(*args):
+        raise AssertionError("work done before the refusal")
+
+    for name in ("orbit_walk", "freudenthal"):
+        monkeypatch.setattr(fusion, name, refused)
+    monkeypatch.setattr(Alcove, "fold", refused)
     a = make_alcove("C", 40, 1)
     x = (1,) + (0,) * 39
-    ws = weight_dict(weight_system(a.rs, x))
-    for y in a.weights:
-        direct = {}
-        for nu, mult in ws.items():
-            sign, w = reference_fold(a, tuple(g + v for g, v in zip(y, nu)))
-            if sign:
-                direct[w] = direct.get(w, 0) + sign * mult
-        assert fuse(a, x, y) == {w: c for w, c in direct.items() if c}
+    with pytest.raises(CapacityError, match=r"^dim C40 \(0, .*\) exceeds "
+                       r"10000000$"):
+        fuse(a, x, x)
+    with pytest.raises(CapacityError):
+        FusionTensor(a).check_full_table()
+    assert a._table is None and a._folds is None
+
+
+def test_rows_past_int64_codes_match_the_pointed_rules():
+    # A40 level 1: every label of lambda_b + nu lies in [-1, 2], a box of
+    # 4**40 > 2**63 points, so the fold memo codes them as Python ints.  The
+    # category is pointed, Z_41: omega_i x omega_j = omega_{i + j mod 41}
+    a = make_alcove("A", 40, 1)
+    node = {w: w.index(1) + 1 if any(w) else 0 for w in a.weights}
+    for x in a.weights:
+        for y in a.weights:
+            z = (node[x] + node[y]) % 41
+            assert fuse(a, x, y) == {next(w for w in a.weights
+                                          if node[w] == z): 1}
     assert a._folds[2].dtype == object

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from collections import Counter
@@ -255,11 +256,14 @@ def test_weight_system_weyl_symmetry_random():
                 assert ws[simple_reflection(rs, mu, i)] == m
 
 
+@functools.cache
 def _full_lattice_weight_system(rs, lam):
     """Reference: Freudenthal over every weight, not only dominant ones.
 
     Descends from the highest weight one simple-root layer at a time and
     runs the recursion on each weight met, in exact integer arithmetic.
+    Cached, as several tests compare against the same systems; callers
+    only read the dict.
     """
     lam = tuple(lam)
     n = rs.rank
@@ -325,6 +329,23 @@ def test_weyl_dimensions_and_duals_match_scalar_references(series, rank, k):
     assert alc.weyl_dims == [weyl_dimension(alc.rs, w) for w in alc.weights]
     assert [alc.weights[d] for d in alc.duals] == \
         [dual_weight(alc.rs, w) for w in alc.weights]
+
+
+@pytest.mark.parametrize("series,rank,k", [
+    ("A", 2, 6), ("B", 3, 4), ("C", 3, 4), ("D", 4, 3), ("G", 2, 9),
+    ("F", 4, 4), ("E", 6, 3), ("E", 7, 2), ("E", 8, 2)])
+def test_batched_multiplicities_match_full_lattice(series, rank, k):
+    # one recursion over the whole alcove, a downward-closed set, with every
+    # weight a top: row t holds the multiplicity of each alcove weight in
+    # the representation of weight t, 0 where it is no weight of it
+    alc = make_alcove(series, rank, k)
+    points, owner = rootsys.orbit_walk(alc.rs, alc.labels)
+    m = rootsys.freudenthal(alc.rs, alc.labels, range(alc.rank), points,
+                            owner)
+    assert (m @ np.bincount(owner)).tolist() == alc.weyl_dims
+    for lam, row in zip(alc.weights, m.tolist()):
+        ref = _full_lattice_weight_system(alc.rs, lam)
+        assert row == [ref.get(mu, 0) for mu in alc.weights], lam
 
 
 @pytest.mark.parametrize("series,rank,lam", [
